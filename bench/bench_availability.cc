@@ -7,11 +7,12 @@
 // (fraction of operations that found a quorum).
 
 #include <cstdio>
+#include <string>
 #include <vector>
 
 #include "bench/bench_util.h"
 #include "src/analysis/model.h"
-#include "src/workload/fault_injector.h"
+#include "src/chaos/nemesis.h"
 #include "src/workload/generator.h"
 
 using namespace wvote;  // NOLINT: bench brevity
@@ -59,11 +60,13 @@ SimPoint SimulateAvailability(const VoteScheme& scheme, double availability) {
   const Duration run = SmokeRun(Duration::Seconds(600), Duration::Seconds(20));
   const TimePoint end = cluster.sim().Now() + run;
   const FaultProfile profile = ProfileForAvailability(availability, Duration::Seconds(5));
+  std::vector<std::string> hosts;
   for (size_t i = 0; i < scheme.votes.size(); ++i) {
-    Host* host = cluster.net().FindHost("srv-" + std::to_string(i));
-    Spawn(RunCrashRestartCycle(&cluster.sim(), host, profile.mttf, profile.mttr, end,
-                               1000 + i));
+    hosts.push_back("srv-" + std::to_string(i));
   }
+  Nemesis nemesis(&cluster,
+                  MakeChurnSchedule(hosts, profile.mttf, profile.mttr, run, /*first_seed=*/1000));
+  nemesis.Deploy();
 
   // One-shot attempts (no retry) so each op samples quorum availability.
   WorkloadOptions wopts;

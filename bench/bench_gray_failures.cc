@@ -173,7 +173,7 @@ GrayResult RunScenario(double multiplier, bool tolerant, QuorumStrategy policy,
   // provisioned rank, the next probe re-seeds the estimator at the healthy
   // latency (TCP-style restart after idle), and it keeps the slot.
   SetGray(cluster, 1.0);
-  cluster.sim().RunFor(health->options().sample_staleness + Duration::Seconds(1));
+  cluster.sim().RunFor(HealthTracker::kSampleStaleness + Duration::Seconds(1));
   const uint64_t victim_polls_at_heal = cluster.representative(kVictim)->stats().version_polls;
   for (int i = 0; i < g_recovery; ++i) {
     const TimePoint t0 = cluster.sim().Now();

@@ -12,17 +12,17 @@
 //
 // Rows report read latency (mean/p50/p99), messages and bytes per read, and
 // the fast-path hit rate. `--metrics[=json]` dumps the full registry per
-// scenario; BENCH_read_path.json commits the JSON trajectories (format
-// documented in EXPERIMENTS.md). `--smoke` shrinks iteration counts so CI
-// can run the binary end-to-end in seconds.
+// scenario (format documented in EXPERIMENTS.md). `--smoke` shrinks
+// iteration counts so CI can run the binary end-to-end in seconds.
 
 #include <algorithm>
 #include <cstdio>
 #include <string>
+#include <utility>
 
 #include "bench/bench_util.h"
 #include "src/obs/histogram.h"
-#include "src/workload/fault_injector.h"
+#include "src/chaos/nemesis.h"
 
 using namespace wvote;  // NOLINT: bench brevity
 
@@ -71,14 +71,16 @@ RunResult RunWorkload(bool fastpath, bool faulty, const char* tag) {
   ExampleDeployment dep = DeployExample(ex, copts, /*seed=*/42);
   Cluster& cluster = *dep.cluster;
 
+  FaultSchedule faults;
   if (faulty) {
     // The cheapest representative — the fast path's preferred target —
     // flaps for the whole run.
-    Host* victim = cluster.net().FindHost("srv-0");
-    Spawn(RunCrashRestartCycle(&cluster.sim(), victim, /*mttf=*/Duration::Seconds(2),
+    faults = MakeChurnSchedule({"srv-0"}, /*mttf=*/Duration::Seconds(2),
                                /*mttr=*/Duration::Seconds(1),
-                               cluster.sim().Now() + Duration::Seconds(3600), /*seed=*/7));
+                               /*horizon=*/Duration::Seconds(3600), /*first_seed=*/7);
   }
+  Nemesis nemesis(&cluster, std::move(faults));
+  nemesis.Deploy();
 
   Status seeded = InternalError("unattempted");
   for (int tries = 0; tries < 200 && !seeded.ok(); ++tries) {

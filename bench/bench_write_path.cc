@@ -18,9 +18,8 @@
 //   mixed  — 1:1 read/write closed loop, sync vs async, showing the write
 //            savings compose with fast-path reads.
 //
-// `--metrics[=json]` dumps the registry per scenario; BENCH_write_path.json
-// commits the JSON trajectories (format in EXPERIMENTS.md). `--smoke`
-// shrinks iteration counts for CI.
+// `--metrics[=json]` dumps the registry per scenario (format in
+// EXPERIMENTS.md). `--smoke` shrinks iteration counts for CI.
 
 #include <cstdio>
 #include <string>
@@ -28,7 +27,7 @@
 #include "bench/bench_util.h"
 #include "src/analysis/model.h"
 #include "src/obs/histogram.h"
-#include "src/workload/fault_injector.h"
+#include "src/chaos/nemesis.h"
 
 using namespace wvote;  // NOLINT: bench brevity
 
@@ -111,9 +110,11 @@ void CrashScenario() {
   // while it is down, phase-2 deliveries are lost mid-flight, and the
   // retrier / recovery / watchdog machinery must reconverge every time.
   Host* victim = cluster.net().FindHost("srv-1");
-  Spawn(RunCrashRestartCycle(&cluster.sim(), victim, /*mttf=*/Duration::Seconds(2),
-                             /*mttr=*/Duration::Seconds(1),
-                             cluster.sim().Now() + Duration::Seconds(3600), /*seed=*/7));
+  Nemesis nemesis(&cluster, MakeChurnSchedule({"srv-1"}, /*mttf=*/Duration::Seconds(2),
+                                              /*mttr=*/Duration::Seconds(1),
+                                              /*horizon=*/Duration::Seconds(3600),
+                                              /*first_seed=*/7));
+  nemesis.Deploy();
 
   std::string last_acked;
   for (int i = 0; i < g_crash_writes; ++i) {

@@ -28,9 +28,9 @@
 #include <string>
 #include <vector>
 
+#include "src/chaos/nemesis.h"
 #include "src/core/cluster.h"
 #include "src/obs/metrics.h"
-#include "src/workload/fault_injector.h"
 #include "src/workload/generator.h"
 
 using namespace wvote;  // NOLINT: example brevity
@@ -285,17 +285,19 @@ int main(int argc, char** argv) {
                               &stats[static_cast<size_t>(c)]));
   }
 
+  FaultSchedule churn;
   if (args.availability < 1.0) {
     const FaultProfile profile =
         ProfileForAvailability(args.availability, Duration::Seconds(5));
-    const TimePoint end = cluster.sim().Now() + run;
+    std::vector<std::string> hosts;
     for (int i = 0; i < args.reps; ++i) {
-      Spawn(RunCrashRestartCycle(&cluster.sim(),
-                                 cluster.net().FindHost("rep-" + std::to_string(i)),
-                                 profile.mttf, profile.mttr, end,
-                                 args.seed * 7 + static_cast<uint64_t>(i)));
+      hosts.push_back("rep-" + std::to_string(i));
     }
+    churn = MakeChurnSchedule(hosts, profile.mttf, profile.mttr, run,
+                              /*first_seed=*/args.seed * 7);
   }
+  Nemesis nemesis(&cluster, std::move(churn));
+  nemesis.Deploy();
 
   if (!args.gray_host.empty()) {
     Host* victim = cluster.net().FindHost(args.gray_host);

@@ -1,5 +1,6 @@
 #include "src/chaos/nemesis.h"
 
+#include <memory>
 #include <vector>
 
 namespace wvote {
@@ -38,8 +39,32 @@ void Nemesis::Apply(const FaultEvent& ev) {
         ++events_skipped_;
         return;
       }
-      ArmPhaseCrash(&cluster_->sim(), &cluster_->trace(), host, ev.trace_kind, ev.duration,
-                    &stats_);
+      // shared_ptr guard: the observer outlives this frame and must both
+      // fire at most once and tolerate re-entrant Record calls (Crash()
+      // itself records kHostCrashed, which re-enters the observer list).
+      auto fired = std::make_shared<bool>(false);
+      Simulator* sim = &cluster_->sim();
+      cluster_->trace().AddObserver([this, sim, host, fired, kind = ev.trace_kind,
+                                     downtime = ev.duration](const TraceEvent& rec) {
+        if (*fired || rec.kind != kind || rec.host != host->id()) {
+          return;
+        }
+        if (!host->up()) {
+          return;  // already down; the phase window will recur after restart
+        }
+        *fired = true;
+        host->Crash();
+        ++stats_.crashes;
+        ++stats_.phase_crashes;
+        stats_.total_downtime += downtime;
+        if (downtime > Duration::Zero()) {
+          sim->Schedule(downtime, [host]() {
+            if (!host->up()) {
+              host->Restart();
+            }
+          });
+        }
+      });
       break;
     }
     case FaultAction::kPartition: {

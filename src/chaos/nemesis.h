@@ -4,8 +4,10 @@
 // simulator at its offset; application is pure mechanism — all randomness
 // was spent when the schedule was built, so the same schedule against the
 // same cluster seed replays the same run. Phase-targeted events arm
-// ArmPhaseCrash observers on the cluster's TraceLog; timed events crash,
-// restart, partition, heal, and turn network/storage fault knobs.
+// one-shot observers on the cluster's TraceLog; timed events crash,
+// restart, partition, heal, and turn network/storage fault knobs. This is
+// the only code that crashes hosts: exponential churn, chaos templates and
+// phase-targeted crashes are all schedules.
 //
 // Events naming hosts that do not exist are skipped (counted in
 // events_skipped): schedule minimization may strip a partition's heal or a
@@ -15,12 +17,20 @@
 #define WVOTE_SRC_CHAOS_NEMESIS_H_
 
 #include <cstdint>
+#include <utility>
 
 #include "src/chaos/schedule.h"
 #include "src/core/cluster.h"
-#include "src/workload/fault_injector.h"
 
 namespace wvote {
+
+// Crashes the Nemesis actually performed (a crash aimed at a host that is
+// already down does not count) and the downtime they scheduled.
+struct NemesisStats {
+  uint64_t crashes = 0;
+  uint64_t phase_crashes = 0;  // kCrashOnTrace one-shots that fired
+  Duration total_downtime;
+};
 
 class Nemesis {
  public:
@@ -33,7 +43,7 @@ class Nemesis {
   const FaultSchedule& schedule() const { return schedule_; }
   uint64_t events_applied() const { return events_applied_; }
   uint64_t events_skipped() const { return events_skipped_; }
-  const FaultInjectorStats& stats() const { return stats_; }
+  const NemesisStats& stats() const { return stats_; }
 
  private:
   void Apply(const FaultEvent& ev);
@@ -42,7 +52,7 @@ class Nemesis {
   FaultSchedule schedule_;
   uint64_t events_applied_ = 0;
   uint64_t events_skipped_ = 0;
-  FaultInjectorStats stats_;
+  NemesisStats stats_;
 };
 
 }  // namespace wvote

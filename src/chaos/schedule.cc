@@ -507,6 +507,42 @@ std::string FaultSchedule::ToString() const {
   return out;
 }
 
+FaultProfile ProfileForAvailability(double availability, Duration mttr) {
+  WVOTE_CHECK(availability > 0.0 && availability < 1.0);
+  // availability = mttf / (mttf + mttr)  =>  mttf = mttr * a / (1 - a)
+  const double mttf_us = static_cast<double>(mttr.ToMicros()) * availability /
+                         (1.0 - availability);
+  return FaultProfile{Duration::Micros(static_cast<int64_t>(mttf_us)), mttr};
+}
+
+FaultSchedule MakeChurnSchedule(const std::vector<std::string>& hosts, Duration mttf,
+                                Duration mttr, Duration horizon, uint64_t first_seed) {
+  FaultSchedule s;
+  s.name = "churn";
+  for (size_t i = 0; i < hosts.size(); ++i) {
+    Rng rng(first_seed + i);
+    Duration t;
+    while (t < horizon) {
+      t += Duration::Micros(
+          static_cast<int64_t>(rng.NextExponential(static_cast<double>(mttf.ToMicros()))));
+      if (t >= horizon) {
+        break;
+      }
+      FaultEvent ev;
+      ev.at = t;
+      ev.action = FaultAction::kCrashRestart;
+      ev.host = hosts[i];
+      ev.duration = Duration::Micros(
+          static_cast<int64_t>(rng.NextExponential(static_cast<double>(mttr.ToMicros()))));
+      t += ev.duration;
+      s.events.push_back(std::move(ev));
+    }
+  }
+  std::stable_sort(s.events.begin(), s.events.end(),
+                   [](const FaultEvent& a, const FaultEvent& b) { return a.at < b.at; });
+  return s;
+}
+
 std::vector<std::string> ScheduleTemplateNames() {
   return {"crash_churn", "partitions", "flaky_links", "phase_crash", "torn_disk",
           "gray_host",   "gray_mixed"};

@@ -103,6 +103,25 @@ struct ScheduleTemplateParams {
   Duration horizon = Duration::Seconds(8);
 };
 
+// mttf/mttr pair whose steady-state availability mttf / (mttf + mttr) is
+// `availability`, with the given repair time. That availability is the
+// analytic model's per-representative parameter, so churn sweeps and the
+// closed-form blocking probabilities are directly comparable.
+struct FaultProfile {
+  Duration mttf;
+  Duration mttr;
+};
+FaultProfile ProfileForAvailability(double availability, Duration mttr);
+
+// Exponential crash/repair churn over [0, horizon): each host is up for
+// Exp(mttf), down for Exp(mttr), repeated. Host i draws from
+// Rng(first_seed + i), alternately up, down, up, ...; each crash instant
+// falls before `horizon`, and its restart may land after it, so every host
+// ends up. Emits kCrashRestart events sorted by time. Not a sweep template:
+// the churn is for availability experiments and soak tests.
+FaultSchedule MakeChurnSchedule(const std::vector<std::string>& hosts, Duration mttf,
+                                Duration mttr, Duration horizon, uint64_t first_seed);
+
 // Names of the built-in templates, in sweep order.
 std::vector<std::string> ScheduleTemplateNames();
 

@@ -15,9 +15,6 @@ Cluster::Cluster(ClusterOptions options)
   // network at construction time.
   net_.SetTracer(&tracer_);
   tracer_.RegisterMetrics(&metrics_);
-  if (options_.slow_op_threshold > Duration::Zero()) {
-    tracer_.SetSlowOpLog(&trace_, options_.slow_op_threshold);
-  }
   tracer_.SetHostNamer([this](HostId id) {
     Host* host = net_.host(id);
     return host != nullptr ? host->name() : std::to_string(id);
@@ -37,20 +34,16 @@ void Cluster::EnableScraping(Duration resolution) {
   sopts.resolution = resolution;
   sopts.window_capacity = options_.scrape_window_capacity;
   scraper_ = std::make_unique<Scraper>(&metrics_, sopts);
-  if (options_.slo_engine) {
-    slo_ = std::make_unique<SloEngine>(SloEngine::DefaultRules());
-    if (options_.slo_breadcrumbs) {
-      slo_->AddListener([this](const SloEvent& ev) {
-        char buf[96];
-        std::snprintf(buf, sizeof(buf), "%s value=%.4g limit=%.4g", ev.rule.c_str(), ev.value,
-                      ev.limit);
-        trace_.Record(kInvalidHost,
-                      ev.breach ? TraceKind::kSloBreach : TraceKind::kSloRecovered, buf);
-      });
-    }
-    scraper_->AddObserver(
-        [this](TimePoint now, const TimeSeriesStore& store) { slo_->Evaluate(now, store); });
-  }
+  slo_ = std::make_unique<SloEngine>(SloEngine::DefaultRules());
+  slo_->AddListener([this](const SloEvent& ev) {
+    char buf[96];
+    std::snprintf(buf, sizeof(buf), "%s value=%.4g limit=%.4g", ev.rule.c_str(), ev.value,
+                  ev.limit);
+    trace_.Record(kInvalidHost, ev.breach ? TraceKind::kSloBreach : TraceKind::kSloRecovered,
+                  buf);
+  });
+  scraper_->AddObserver(
+      [this](TimePoint now, const TimeSeriesStore& store) { slo_->Evaluate(now, store); });
   // The metronome fires outside the timer wheel: no event nodes, no
   // sequence numbers, so replays with and without scraping are bit-exact.
   sim_.SetMetronome(resolution, [this](TimePoint now) { scraper_->ScrapeAt(now); });

@@ -36,21 +36,16 @@ struct ClusterOptions {
   // Applied to every client host's 2PC coordinator (e.g. sync_phase2 for
   // runs that must execute the literal 3-RTT commit).
   CoordinatorOptions coordinator_options;
-  // Root spans outliving this dump their whole span tree into the TraceLog
-  // (TraceKind::kSlowOp). Zero disables the slow-op log.
-  Duration slow_op_threshold = Duration::Zero();
   // Sim-time metrics scraping (the time-series layer). Zero disables; a
   // positive resolution attaches a Scraper to the simulator metronome at
   // construction (EnableScraping does the same after construction).
   // Scraping rides outside the timer wheel, so the event schedule — and any
   // golden replay pinned to it — is identical with or without it.
   Duration scrape_resolution = Duration::Zero();
+  // With scraping on, SloEngine::DefaultRules() are evaluated on every
+  // sealed window and kSloBreach / kSloRecovered transitions are recorded
+  // into the trace log.
   size_t scrape_window_capacity = 512;
-  // With scraping on: evaluate SloEngine::DefaultRules() on every sealed
-  // window, and (with breadcrumbs) record kSloBreach / kSloRecovered
-  // transitions into the trace log.
-  bool slo_engine = true;
-  bool slo_breadcrumbs = true;
 };
 
 class Cluster {
@@ -72,8 +67,8 @@ class Cluster {
   MetricsRegistry& metrics() { return metrics_; }
   const MetricsRegistry& metrics() const { return metrics_; }
 
-  // Attaches the sim-time scraper (and, per options, the SLO engine) at
-  // `resolution`, driven by the simulator metronome. No-op if scraping is
+  // Attaches the sim-time scraper and the SLO engine at `resolution`,
+  // driven by the simulator metronome. No-op if scraping is
   // already on.
   void EnableScraping(Duration resolution);
 

@@ -13,6 +13,9 @@ namespace wvote {
 
 namespace {
 
+// Prefix-refresh retries per operation.
+constexpr int kMaxConfigRetries = 3;
+
 // User-declared constructor per the GCC 12 rule in src/sim/task.h: this type
 // travels by value through coroutine plumbing (Task payloads, std::function
 // callbacks).
@@ -31,51 +34,34 @@ struct ProbeOutcome {
       : candidate(std::move(c)), host(h), result(std::move(r)) {}
 };
 
+// One version probe. With `backup_host` valid the RPC layer hedges: it
+// sends to `host` and, after `hedge_delay`, a backup copy to `backup_host`;
+// the first reply wins and the loser is dropped idempotently. The outcome is
+// attributed to whichever host actually answered (so the vote accounting
+// credits the responder), and to `host` on timeout. With `backup_host`
+// invalid the RPC layer makes a plain call and `backup` is unused.
 Task<ProbeOutcome> SendProbe(RpcEndpoint* rpc, HostId host, QuorumCandidate candidate,
-                             TxnId txn, std::string suite, bool exclusive, bool want_data,
+                             HostId backup_host, QuorumCandidate backup,
+                             size_t backup_position, TxnId txn, std::string suite,
+                             bool exclusive, bool want_data, Duration hedge_delay,
                              Duration timeout, TraceContext ctx) {
   // if/else, NOT `exclusive ? co_await ... : co_await ...`: GCC 12
   // miscompiles the conditional operator with co_await in its arms — the
   // selected arm's result is copied bitwise, so a string payload ends up
   // aliasing this coroutine's frame. See rule 4 in src/sim/task.h.
-  Result<VersionResp> result = TimeoutError("unprobed");
-  if (exclusive) {
-    result = co_await rpc->Call<LockVersionReq, VersionResp>(
-        host, LockVersionReq{txn, std::move(suite)}, timeout, ctx);
-  } else {
-    result = co_await rpc->Call<TxnVersionReq, VersionResp>(
-        host, TxnVersionReq{txn, std::move(suite), want_data}, timeout, ctx);
-  }
-  ProbeOutcome outcome(std::move(candidate), host, std::move(result));
-  co_return std::move(outcome);
-}
-
-// Hedged variant: the RPC layer sends to `primary_host` and, after
-// `hedge_delay`, a backup copy to `backup_host`; the first reply wins and the
-// loser is dropped idempotently. The outcome is attributed to whichever host
-// actually answered (so the vote accounting credits the responder), and to
-// the primary on timeout.
-Task<ProbeOutcome> SendHedgedProbe(RpcEndpoint* rpc, HostId primary_host,
-                                   QuorumCandidate primary, HostId backup_host,
-                                   QuorumCandidate backup, size_t backup_position,
-                                   TxnId txn, std::string suite, bool exclusive,
-                                   bool want_data, Duration hedge_delay, Duration timeout,
-                                   TraceContext ctx) {
-  // if/else, NOT the conditional operator, per rule 4 in src/sim/task.h.
   HedgedReply<VersionResp> reply;
   if (exclusive) {
     reply = co_await rpc->CallHedged<LockVersionReq, VersionResp>(
-        primary_host, backup_host, LockVersionReq{txn, std::move(suite)}, hedge_delay,
-        timeout, ctx);
+        host, backup_host, LockVersionReq{txn, std::move(suite)}, hedge_delay, timeout, ctx);
   } else {
     reply = co_await rpc->CallHedged<TxnVersionReq, VersionResp>(
-        primary_host, backup_host, TxnVersionReq{txn, std::move(suite), want_data},
-        hedge_delay, timeout, ctx);
+        host, backup_host, TxnVersionReq{txn, std::move(suite), want_data}, hedge_delay,
+        timeout, ctx);
   }
   const bool backup_won =
-      reply.reply.ok() && reply.responder == backup_host && backup_host != primary_host;
-  ProbeOutcome outcome(backup_won ? std::move(backup) : std::move(primary),
-                       backup_won ? backup_host : primary_host, std::move(reply.reply));
+      reply.reply.ok() && reply.responder == backup_host && backup_host != host;
+  ProbeOutcome outcome(backup_won ? std::move(backup) : std::move(candidate),
+                       backup_won ? backup_host : host, std::move(reply.reply));
   if (backup_won) {
     outcome.backup_won = true;
     outcome.backup_position = backup_position;
@@ -491,18 +477,19 @@ Task<Result<SuiteClient::GatherResult>> SuiteClient::Gather(
         // only a backstop and must leave the backup room to answer, so the
         // hedged call keeps the configured fallback rather than the
         // primary's (possibly fail-fast) adaptive estimate.
-        probes.push_back(SendHedgedProbe(rpc_, host, std::move(candidate), backup_host,
-                                         std::move(backup), backup_pos, state->txn,
-                                         config_.suite_name, exclusive, i == fastpath_target,
-                                         hedge_delay, options_.probe_timeout, gather_span));
+        probes.push_back(SendProbe(rpc_, host, std::move(candidate), backup_host,
+                                   std::move(backup), backup_pos, state->txn,
+                                   config_.suite_name, exclusive, i == fastpath_target,
+                                   hedge_delay, options_.probe_timeout, gather_span));
       } else {
         Duration timeout = options_.probe_timeout;
         if (adaptive) {
           timeout = health_->TimeoutFor(host, options_.probe_timeout);
         }
-        probes.push_back(SendProbe(rpc_, host, std::move(candidate), state->txn,
-                                   config_.suite_name, exclusive, i == fastpath_target,
-                                   timeout, gather_span));
+        probes.push_back(SendProbe(rpc_, host, std::move(candidate), kInvalidHost,
+                                   QuorumCandidate(), 0, state->txn, config_.suite_name,
+                                   exclusive, i == fastpath_target, Duration::Zero(), timeout,
+                                   gather_span));
       }
     }
 
@@ -709,7 +696,7 @@ Task<Result<std::string>> SuiteClient::DoRead(std::shared_ptr<SuiteTransaction::
     co_return state->read_result->contents;  // repeated read
   }
 
-  for (int attempt = 0; attempt <= options_.max_config_retries; ++attempt) {
+  for (int attempt = 0; attempt <= kMaxConfigRetries; ++attempt) {
     Result<GatherResult> gather = co_await Gather(state, config_.read_quorum, false,
                                                  /*want_data=*/options_.fastpath_reads);
     if (!gather.ok()) {
@@ -802,7 +789,7 @@ Task<Status> SuiteClient::DoCommit(std::shared_ptr<SuiteTransaction::State> stat
     co_return st;
   }
 
-  for (int attempt = 0; attempt <= options_.max_config_retries; ++attempt) {
+  for (int attempt = 0; attempt <= kMaxConfigRetries; ++attempt) {
     Result<GatherResult> gather = co_await Gather(state, config_.write_quorum, true);
     if (!gather.ok()) {
       if (gather.status().code() == StatusCode::kFailedPrecondition) {

@@ -58,8 +58,7 @@ struct SuiteClientOptions {
   // the gathered quorum proves it current; otherwise the read falls back to
   // an explicit data fetch. Never weakens strict-quorum semantics.
   bool fastpath_reads = true;
-  int max_gather_rounds = 4;    // probe-widening rounds per gather
-  int max_config_retries = 3;   // prefix-refresh retries per operation
+  int max_gather_rounds = 4;  // probe-widening rounds per gather
 
   // Gray-failure response knobs. All three default OFF and are inert until
   // SetHealth() attaches a tracker, so default runs stay schedule-identical

@@ -49,6 +49,10 @@ void AppendDouble(std::string* out, double v) {
   *out += buf;
 }
 
+// Never sampled: sim.events_per_sec reads the wall clock, so it must stay
+// out of anything deterministic.
+bool Excluded(const std::string& key) { return BaseName(key) == "sim.events_per_sec"; }
+
 }  // namespace
 
 const char* SeriesKindName(SeriesKind kind) {
@@ -295,16 +299,6 @@ Scraper::Scraper(const MetricsRegistry* registry, ScraperOptions options)
       store_(options_.window_capacity) {
   WVOTE_CHECK(registry_ != nullptr);
   store_.set_resolution_us(options_.resolution.ToMicros());
-}
-
-bool Scraper::Excluded(const std::string& key) const {
-  const std::string base = BaseName(key);
-  for (const std::string& name : options_.exclude) {
-    if (base == name) {
-      return true;
-    }
-  }
-  return false;
 }
 
 void Scraper::RebuildPlan() {

@@ -132,9 +132,6 @@ struct ScraperOptions {
   // staying far below 1% of bench wall time (see bench_trace_overhead).
   Duration resolution = Duration::Millis(10);
   size_t window_capacity = 512;
-  // Metric names (before '{') never sampled. sim.events_per_sec reads the
-  // wall clock, so it must stay out of anything deterministic.
-  std::vector<std::string> exclude = {"sim.events_per_sec"};
 };
 
 // Samples a MetricsRegistry into a TimeSeriesStore. Builds a flat sampling
@@ -145,7 +142,8 @@ class Scraper {
  public:
   explicit Scraper(const MetricsRegistry* registry, ScraperOptions options = {});
 
-  // Samples every non-excluded source and seals one window ending at `now`.
+  // Samples every source except the wall-clock sim.events_per_sec gauge
+  // and seals one window ending at `now`.
   // Pure observer: never mutates the registry or its sources, safe to call
   // from a Simulator metronome hook.
   void ScrapeAt(TimePoint now);
@@ -162,7 +160,6 @@ class Scraper {
 
  private:
   void RebuildPlan();
-  bool Excluded(const std::string& key) const;
 
   struct CounterPlan {
     TimeSeriesStore::Series* series;

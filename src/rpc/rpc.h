@@ -22,6 +22,7 @@
 #include <functional>
 #include <map>
 #include <string>
+#include <type_traits>
 #include <typeindex>
 #include <utility>
 
@@ -119,11 +120,15 @@ struct RpcStats {
 // src/sim/task.h).
 template <typename Resp>
 struct HedgedReply {
-  HostId responder = kInvalidHost;  // kInvalidHost unless reply.ok()
+  HostId responder = kInvalidHost;  // kInvalidHost unless a reply arrived
   bool hedged = false;              // the backup probe went on the wire
   Result<Resp> reply;
 
-  HedgedReply() : reply(TimeoutError("unresolved hedged call")) {}
+  // The placeholder message stays within std::string's inline buffer, so a
+  // default-constructed reply (every probe declares one) never allocates.
+  HedgedReply() : reply(TimeoutError("unresolved")) {}
+  HedgedReply(Result<Resp> r, HostId from, bool backup_sent)
+      : responder(from), hedged(backup_sent), reply(std::move(r)) {}
 };
 
 class RpcEndpoint {
@@ -189,63 +194,8 @@ class RpcEndpoint {
   template <typename Req, typename Resp>
   Task<Result<Resp>> Call(HostId to, Req req, Duration timeout,
                           TraceContext ctx = TraceContext()) {
-    ++stats_.calls_started;
-    Tracer* tracer = net_->tracer();
-    TraceContext call_span = StartRpcSpan(tracer, ctx, host_id(), "rpc.", RpcMethodName<Req>());
-    if (!host_->up()) {
-      ++stats_.calls_aborted;
-      if (tracer != nullptr) {
-        tracer->EndWith(call_span, "caller down");
-      }
-      co_return AbortedError("caller host down");
-    }
-
-    const uint64_t call_id = next_call_id_++;
-    Promise<Result<std::any>> promise(sim());
-    Future<Result<std::any>> future = promise.GetFuture();
-
-    EventHandle timeout_event = sim()->Schedule(timeout, [promise]() mutable {
-      promise.Set(TimeoutError("rpc timeout"));
-    });
-    outstanding_.emplace(call_id, PendingCall{promise, nullptr});
-
-    Envelope env;
-    env.is_request = true;
-    env.call_id = call_id;
-    env.trace = call_span.valid() ? call_span : ctx;
-    env.body = std::move(req);
-    const size_t bytes = ApproxWireSize(std::any_cast<const Req&>(env.body));
-    const TimePoint started = sim()->Now();
-    net_->Send(host_id(), to, std::move(env), bytes);
-
-    Result<std::any> raw = co_await std::move(future);
-    timeout_event.Cancel();
-    outstanding_.erase(call_id);
-
-    if (!raw.ok()) {
-      if (raw.status().code() == StatusCode::kTimeout) {
-        ++stats_.calls_timeout;
-        if (peer_health_ != nullptr) {
-          peer_health_->OnRpcOutcome(to, sim()->Now() - started, false);
-        }
-      } else {
-        // Aborted: our own host crashed — no evidence about the peer.
-        ++stats_.calls_aborted;
-      }
-      if (tracer != nullptr) {
-        tracer->EndWith(call_span,
-                        raw.status().code() == StatusCode::kTimeout ? "timeout" : "aborted");
-      }
-      co_return raw.status();
-    }
-    ++stats_.calls_ok;
-    if (peer_health_ != nullptr) {
-      peer_health_->OnRpcOutcome(to, sim()->Now() - started, true);
-    }
-    if (tracer != nullptr) {
-      tracer->End(call_span);
-    }
-    co_return std::any_cast<Result<Resp>>(std::move(raw.value()));
+    return Exchange<Req, Resp, Result<Resp>>(to, kInvalidHost, std::move(req),
+                                             Duration::Zero(), timeout, ctx);
   }
 
   // Hedged variant of Call: the request goes to `primary` immediately; if no
@@ -255,123 +205,13 @@ class RpcEndpoint {
   // dropped by the same idempotent path that already swallows duplicated
   // datagrams. `timeout` bounds the whole race. The reply reports which host
   // answered — quorum accounting must credit the responder's votes, not the
-  // primary's.
+  // primary's. With `backup` == kInvalidHost this is exactly Call.
   template <typename Req, typename Resp>
   Task<HedgedReply<Resp>> CallHedged(HostId primary, HostId backup, Req req,
                                      Duration hedge_delay, Duration timeout,
                                      TraceContext ctx = TraceContext()) {
-    ++stats_.calls_started;
-    Tracer* tracer = net_->tracer();
-    TraceContext call_span = StartRpcSpan(tracer, ctx, host_id(), "rpc.", RpcMethodName<Req>());
-    HedgedReply<Resp> out;
-    if (!host_->up()) {
-      ++stats_.calls_aborted;
-      if (tracer != nullptr) {
-        tracer->EndWith(call_span, "caller down");
-      }
-      out.reply = AbortedError("caller host down");
-      co_return out;
-    }
-
-    const uint64_t primary_id = next_call_id_++;
-    Promise<Result<std::any>> promise(sim());
-    Future<Result<std::any>> future = promise.GetFuture();
-
-    HostId responder = kInvalidHost;
-    bool hedge_fired = false;
-    uint64_t backup_id = 0;
-    TimePoint hedge_sent_at;
-
-    EventHandle timeout_event = sim()->Schedule(timeout, [promise]() mutable {
-      promise.Set(TimeoutError("rpc timeout"));
-    });
-    outstanding_.emplace(primary_id, PendingCall{promise, &responder});
-
-    Envelope env;
-    env.is_request = true;
-    env.call_id = primary_id;
-    env.trace = call_span.valid() ? call_span : ctx;
-    env.body = req;  // keep `req` for the possible backup copy
-    const size_t bytes = ApproxWireSize(std::any_cast<const Req&>(env.body));
-    const TimePoint started = sim()->Now();
-    net_->Send(host_id(), primary, std::move(env), bytes);
-
-    // The hedge timer captures frame locals by reference; the frame stays
-    // suspended on `future` until after the handle is cancelled below, so
-    // the references cannot dangle.
-    TraceContext wire_trace = call_span.valid() ? call_span : ctx;
-    EventHandle hedge_event = sim()->Schedule(
-        hedge_delay, [this, promise, backup, req, wire_trace, &responder, &hedge_fired,
-                      &backup_id, &hedge_sent_at]() mutable {
-          if (promise.IsSet() || !host_->up() || backup == kInvalidHost) {
-            return;
-          }
-          hedge_fired = true;
-          hedge_sent_at = sim()->Now();
-          ++stats_.hedges_sent;
-          backup_id = next_call_id_++;
-          outstanding_.emplace(backup_id, PendingCall{promise, &responder});
-          Envelope hedge_env;
-          hedge_env.is_request = true;
-          hedge_env.call_id = backup_id;
-          hedge_env.trace = wire_trace;
-          hedge_env.body = std::move(req);
-          const size_t hedge_bytes = ApproxWireSize(std::any_cast<const Req&>(hedge_env.body));
-          net_->Send(host_id(), backup, std::move(hedge_env), hedge_bytes);
-        });
-
-    Result<std::any> raw = co_await std::move(future);
-    timeout_event.Cancel();
-    hedge_event.Cancel();
-    outstanding_.erase(primary_id);
-    if (backup_id != 0) {
-      outstanding_.erase(backup_id);
-    }
-
-    out.hedged = hedge_fired;
-    if (!raw.ok()) {
-      if (raw.status().code() == StatusCode::kTimeout) {
-        ++stats_.calls_timeout;
-        if (peer_health_ != nullptr) {
-          peer_health_->OnRpcOutcome(primary, sim()->Now() - started, false);
-          if (hedge_fired) {
-            peer_health_->OnRpcOutcome(backup, sim()->Now() - hedge_sent_at, false);
-          }
-        }
-      } else {
-        ++stats_.calls_aborted;
-      }
-      if (tracer != nullptr) {
-        tracer->EndWith(call_span,
-                        raw.status().code() == StatusCode::kTimeout ? "timeout" : "aborted");
-      }
-      out.reply = raw.status();
-      co_return out;
-    }
-
-    ++stats_.calls_ok;
-    out.responder = responder;
-    if (responder == backup && responder != primary) {
-      ++stats_.hedge_wins;
-      if (peer_health_ != nullptr) {
-        peer_health_->OnRpcOutcome(backup, sim()->Now() - hedge_sent_at, true);
-        // The primary lost to a hedge that spotted it a full p95 head start:
-        // that is a gray-failure signal, and it is what lets the breaker
-        // open even when every hedged call still succeeds.
-        peer_health_->OnRpcOutcome(primary, sim()->Now() - started, false);
-      }
-    } else if (peer_health_ != nullptr) {
-      peer_health_->OnRpcOutcome(primary, sim()->Now() - started, true);
-    }
-    if (tracer != nullptr) {
-      if (out.responder == backup && backup != primary) {
-        tracer->EndWith(call_span, "hedge win");
-      } else {
-        tracer->End(call_span);
-      }
-    }
-    out.reply = std::any_cast<Result<Resp>>(std::move(raw.value()));
-    co_return out;
+    return Exchange<Req, Resp, HedgedReply<Resp>>(primary, backup, std::move(req),
+                                                  hedge_delay, timeout, ctx);
   }
 
   // Retransmits an idempotent request up to `attempts` times on retryable
@@ -418,6 +258,145 @@ class RpcEndpoint {
 
     PendingCall(Promise<Result<std::any>> p, HostId* r) : promise(std::move(p)), responder(r) {}
   };
+
+  // The one call path behind Call and CallHedged; `Out` is the caller's
+  // result shape (Result<Resp> or HedgedReply<Resp>). Without a backup host
+  // it schedules no hedge timer and moves `req` onto the wire without a
+  // backup copy, so a plain call's event sequence and allocations are
+  // exactly those of a single request/reply.
+  template <typename Req, typename Resp, typename Out>
+  Task<Out> Exchange(HostId primary, HostId backup, Req req, Duration hedge_delay,
+                     Duration timeout, TraceContext ctx) {
+    ++stats_.calls_started;
+    Tracer* tracer = net_->tracer();
+    TraceContext call_span = StartRpcSpan(tracer, ctx, host_id(), "rpc.", RpcMethodName<Req>());
+    if (!host_->up()) {
+      ++stats_.calls_aborted;
+      if (tracer != nullptr) {
+        tracer->EndWith(call_span, "caller down");
+      }
+      co_return MakeOut<Resp, Out>(AbortedError("caller host down"), kInvalidHost, false);
+    }
+
+    const uint64_t primary_id = next_call_id_++;
+    Promise<Result<std::any>> promise(sim());
+    Future<Result<std::any>> future = promise.GetFuture();
+
+    HostId responder = kInvalidHost;
+    bool hedge_fired = false;
+    uint64_t backup_id = 0;
+    TimePoint hedge_sent_at;
+
+    EventHandle timeout_event = sim()->Schedule(timeout, [promise]() mutable {
+      promise.Set(TimeoutError("rpc timeout"));
+    });
+    outstanding_.emplace(primary_id, PendingCall{promise, &responder});
+
+    const TraceContext wire_trace = call_span.valid() ? call_span : ctx;
+    Envelope env;
+    env.is_request = true;
+    env.call_id = primary_id;
+    env.trace = wire_trace;
+    const bool hedging = backup != kInvalidHost;
+    if (hedging) {
+      env.body = req;  // keep `req` for the backup copy
+    } else {
+      env.body = std::move(req);
+    }
+    const size_t bytes = ApproxWireSize(std::any_cast<const Req&>(env.body));
+    const TimePoint started = sim()->Now();
+    net_->Send(host_id(), primary, std::move(env), bytes);
+
+    // The hedge timer captures frame locals by reference; the frame stays
+    // suspended on `future` until after the handle is cancelled below, so
+    // the references cannot dangle.
+    EventHandle hedge_event;
+    if (hedging) {
+      hedge_event = sim()->Schedule(
+          hedge_delay, [this, promise, backup, req, wire_trace, &responder, &hedge_fired,
+                        &backup_id, &hedge_sent_at]() mutable {
+            if (promise.IsSet() || !host_->up()) {
+              return;
+            }
+            hedge_fired = true;
+            hedge_sent_at = sim()->Now();
+            ++stats_.hedges_sent;
+            backup_id = next_call_id_++;
+            outstanding_.emplace(backup_id, PendingCall{promise, &responder});
+            Envelope hedge_env;
+            hedge_env.is_request = true;
+            hedge_env.call_id = backup_id;
+            hedge_env.trace = wire_trace;
+            hedge_env.body = std::move(req);
+            const size_t hedge_bytes =
+                ApproxWireSize(std::any_cast<const Req&>(hedge_env.body));
+            net_->Send(host_id(), backup, std::move(hedge_env), hedge_bytes);
+          });
+    }
+
+    Result<std::any> raw = co_await std::move(future);
+    timeout_event.Cancel();
+    hedge_event.Cancel();
+    outstanding_.erase(primary_id);
+    if (backup_id != 0) {
+      outstanding_.erase(backup_id);
+    }
+
+    if (!raw.ok()) {
+      if (raw.status().code() == StatusCode::kTimeout) {
+        ++stats_.calls_timeout;
+        if (peer_health_ != nullptr) {
+          peer_health_->OnRpcOutcome(primary, sim()->Now() - started, false);
+          if (hedge_fired) {
+            peer_health_->OnRpcOutcome(backup, sim()->Now() - hedge_sent_at, false);
+          }
+        }
+      } else {
+        // Aborted: our own host crashed — no evidence about the peer.
+        ++stats_.calls_aborted;
+      }
+      if (tracer != nullptr) {
+        tracer->EndWith(call_span,
+                        raw.status().code() == StatusCode::kTimeout ? "timeout" : "aborted");
+      }
+      co_return MakeOut<Resp, Out>(raw.status(), kInvalidHost, hedge_fired);
+    }
+
+    ++stats_.calls_ok;
+    const bool hedge_won = responder == backup && responder != primary;
+    if (hedge_won) {
+      ++stats_.hedge_wins;
+      if (peer_health_ != nullptr) {
+        peer_health_->OnRpcOutcome(backup, sim()->Now() - hedge_sent_at, true);
+        // The primary lost to a hedge that spotted it a full p95 head start:
+        // that is a gray-failure signal, and it is what lets the breaker
+        // open even when every hedged call still succeeds.
+        peer_health_->OnRpcOutcome(primary, sim()->Now() - started, false);
+      }
+    } else if (peer_health_ != nullptr) {
+      peer_health_->OnRpcOutcome(primary, sim()->Now() - started, true);
+    }
+    if (tracer != nullptr) {
+      if (hedge_won) {
+        tracer->EndWith(call_span, "hedge win");
+      } else {
+        tracer->End(call_span);
+      }
+    }
+    co_return MakeOut<Resp, Out>(std::any_cast<Result<Resp>>(std::move(raw.value())),
+                                 responder, hedge_fired);
+  }
+
+  // Exchange's result: the bare reply for Call, the reply plus responder
+  // and hedge flag for CallHedged.
+  template <typename Resp, typename Out>
+  static Out MakeOut(Result<Resp> reply, HostId responder, bool hedged) {
+    if constexpr (std::is_same_v<Out, Result<Resp>>) {
+      return reply;
+    } else {
+      return Out(std::move(reply), responder, hedged);
+    }
+  }
 
   template <typename Req, typename Resp>
   Task<void> RunHandler(std::function<Task<Result<Resp>>(HostId, Req, TraceContext)> handler,

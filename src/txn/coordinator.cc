@@ -67,9 +67,9 @@ std::string Coordinator::DecisionKey(const TxnId& txn) {
 
 Duration Coordinator::TimeoutTo(HostId host) {
   if (options_.adaptive_timeouts && rpc_->peer_health() != nullptr) {
-    return rpc_->peer_health()->TimeoutFor(host, options_.rpc_timeout);
+    return rpc_->peer_health()->TimeoutFor(host, kCoordinatorRpcTimeout);
   }
-  return options_.rpc_timeout;
+  return kCoordinatorRpcTimeout;
 }
 
 TxnId Coordinator::Begin() { return BeginAt(rpc_->sim()->Now().ToMicros()); }
@@ -99,7 +99,7 @@ Task<Status> Coordinator::CommitTransaction(TxnId txn,
     // waiting for acknowledgements (the client's result does not depend on
     // them, and waiting would add a round trip to every read).
     for (HostId host : read_only_participants) {
-      Spawn(SendAbortTo(rpc_, host, txn, options_.rpc_timeout, TraceContext()));
+      Spawn(SendAbortTo(rpc_, host, txn, kCoordinatorRpcTimeout, TraceContext()));
     }
     ++stats_.committed;
     co_return Status::Ok();
@@ -229,14 +229,14 @@ Task<Status> Coordinator::SendPhase2(TxnId txn, std::vector<HostId> writers,
   // Read-only participants only hold locks; an abort releases them and is
   // indistinguishable from a commit for them.
   for (HostId host : read_only) {
-    Spawn(SendAbortTo(rpc_, host, txn, options_.rpc_timeout, ctx));
+    Spawn(SendAbortTo(rpc_, host, txn, kCoordinatorRpcTimeout, ctx));
   }
 
   std::vector<Task<HostAck>> commits;
   commits.reserve(writers.size());
   for (HostId host : writers) {
     commits.push_back(CallCommitAt(rpc_, host, txn, TimeoutTo(host),
-                                   options_.commit_retries, ctx));
+                                   kCommitRetries, ctx));
   }
   std::vector<HostAck> acks = co_await JoinAll<HostAck>(rpc_->sim(), std::move(commits));
 
@@ -279,7 +279,7 @@ Task<void> Coordinator::RetryCommitForever(TxnId txn, HostId participant, TraceC
       co_return;
     }
     Result<Ack> ack = co_await rpc_->Call<CommitReq, Ack>(participant, CommitReq{txn},
-                                                          options_.rpc_timeout, span);
+                                                          kCoordinatorRpcTimeout, span);
     if (ack.ok()) {
       // Same causality breadcrumb as the fan-out: the retrier finishing IS
       // this transaction's convergence at `participant`.
@@ -292,7 +292,7 @@ Task<void> Coordinator::RetryCommitForever(TxnId txn, HostId participant, TraceC
       }
       co_return;
     }
-    co_await rpc_->sim()->Sleep(options_.rpc_timeout);
+    co_await rpc_->sim()->Sleep(kCoordinatorRpcTimeout);
   }
 }
 

@@ -19,9 +19,13 @@
 
 namespace wvote {
 
+// Timeout of every 2PC RPC the coordinator sends (and the fallback that
+// adaptive timeouts back off toward), and the attempts a phase-2 CommitReq
+// gets before a background retrier takes over.
+inline constexpr Duration kCoordinatorRpcTimeout = Duration::Seconds(5);
+inline constexpr int kCommitRetries = 3;
+
 struct CoordinatorOptions {
-  Duration rpc_timeout = Duration::Seconds(5);
-  int commit_retries = 3;
   // When false (the default), CommitTransaction returns success as soon as
   // the commit decision is durable and phase 2 runs as a background task:
   // the committed write costs the client two round trips (prepare + the
@@ -33,9 +37,9 @@ struct CoordinatorOptions {
   // tests do.
   bool sync_phase2 = false;
   // Consult the endpoint's PeerHealth tracker (if one is attached) for
-  // per-participant timeouts instead of the fixed rpc_timeout above:
-  // timeout ≈ srtt + 4·rttvar, exponentially backed off toward rpc_timeout
-  // on consecutive failures. OFF by default; inert without a tracker.
+  // per-participant timeouts instead of the fixed kCoordinatorRpcTimeout:
+  // timeout ≈ srtt + 4·rttvar, exponentially backed off toward it on
+  // consecutive failures. OFF by default; inert without a tracker.
   bool adaptive_timeouts = false;
 };
 
@@ -97,7 +101,7 @@ class Coordinator {
  private:
   static std::string DecisionKey(const TxnId& txn);
   // Per-participant RPC timeout: adaptive when enabled and the endpoint has
-  // a health tracker, the fixed rpc_timeout otherwise.
+  // a health tracker, the fixed kCoordinatorRpcTimeout otherwise.
   Duration TimeoutTo(HostId host);
   Task<Status> SendPhase2(TxnId txn, std::vector<HostId> writers,
                           std::vector<HostId> read_only, TraceContext ctx);

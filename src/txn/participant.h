@@ -41,10 +41,11 @@ struct ParticipantStats {
   void RegisterWith(MetricsRegistry* registry, const MetricLabels& labels = {});
 };
 
+// How long a lock request queues behind a conflicting holder before the
+// caller gives up.
+inline constexpr Duration kLockWaitTimeout = Duration::Seconds(10);
+
 struct ParticipantOptions {
-  // How long a lock request queues behind a conflicting holder before the
-  // caller gives up.
-  Duration lock_wait_timeout = Duration::Seconds(10);
   // Retransmission interval for in-doubt decision inquiries.
   Duration inquiry_interval = Duration::Seconds(1);
   // Orphan-lock lease: locks whose transaction shows no progress for this

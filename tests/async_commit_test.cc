@@ -13,7 +13,6 @@
 #include "src/txn/coordinator.h"
 #include "src/txn/participant.h"
 #include "src/trace/trace.h"
-#include "src/workload/fault_injector.h"
 
 namespace wvote {
 namespace {
@@ -173,9 +172,18 @@ TEST_F(AsyncCommitTest, CoordinatorCrashAfterAckConvergesViaWatchdog) {
   TxnId txn = coordinator_->Begin();
   ASSERT_TRUE(LockAt(0, txn, "x").ok());
 
-  FaultInjectorStats fault_stats;
-  ArmPhaseCrash(&sim_, &trace_log_, client_host_, TraceKind::kDecisionLogged,
-                /*downtime=*/Duration::Millis(100), &fault_stats);
+  // Shared so the observer, which the fixture's TraceLog keeps after this
+  // test body returns, never points into a dead frame.
+  auto crashes = std::make_shared<int>(0);
+  trace_log_.AddObserver([this, crashes](const TraceEvent& ev) {
+    if (*crashes > 0 || ev.kind != TraceKind::kDecisionLogged ||
+        ev.host != client_host_->id()) {
+      return;
+    }
+    ++*crashes;  // before Crash(): it records kHostCrashed, re-entering here
+    client_host_->Crash();
+    sim_.Schedule(Duration::Millis(100), [this]() { client_host_->Restart(); });
+  });
 
   std::map<HostId, std::vector<WriteIntent>> writes;
   writes[Hid(0)] = {WriteIntent("x", "survives")};
@@ -183,7 +191,7 @@ TEST_F(AsyncCommitTest, CoordinatorCrashAfterAckConvergesViaWatchdog) {
   sim_.RunFor(Duration::Millis(30));
   ASSERT_TRUE(out->has_value());
   EXPECT_TRUE((*out)->ok()) << "decision was durable before the crash: the ack stands";
-  EXPECT_EQ(fault_stats.phase_crashes, 1u);
+  EXPECT_EQ(*crashes, 1);
   EXPECT_EQ(CommittedAt(0, "x"), "<NOT_FOUND>") << "no CommitReq ever left the coordinator";
 
   // The host restarted after its 100ms downtime; the participant never

@@ -1,6 +1,7 @@
 // Tests for the chaos harness: the consistency checker on synthetic
-// histories, fault-schedule serialization and templates, and end-to-end
-// runner properties (determinism, valid configs pass, the negative control
+// histories, fault-schedule serialization and templates, exponential churn
+// and one-shot phase crashes applied by the Nemesis, and end-to-end runner
+// properties (determinism, valid configs pass, the negative control
 // fails, minimization + artifact replay reproduce the failure).
 
 #include <gtest/gtest.h>
@@ -10,8 +11,11 @@
 
 #include "src/chaos/checker.h"
 #include "src/chaos/history.h"
+#include "src/chaos/nemesis.h"
 #include "src/chaos/runner.h"
 #include "src/chaos/schedule.h"
+#include "src/core/cluster.h"
+#include "src/sim/random.h"
 
 namespace wvote {
 namespace {
@@ -240,6 +244,126 @@ TEST(ChaosSchedule, TemplatesAreSeedDeterministic) {
     const FaultSchedule c = MakeScheduleFromTemplate(name, 8, params);
     EXPECT_NE(a.Serialize(), c.Serialize()) << name;
   }
+}
+
+// ---------------------------------------------------------------------------
+// Churn schedules and the Nemesis that applies them.
+
+TEST(ChaosChurn, AvailabilityMath) {
+  FaultProfile p = ProfileForAvailability(0.9, Duration::Seconds(10));
+  // mttf = 10s * 0.9 / 0.1 = 90s
+  EXPECT_NEAR(p.mttf.ToSeconds(), 90.0, 0.01);
+  EXPECT_EQ(p.mttr, Duration::Seconds(10));
+}
+
+TEST(ChaosChurn, CrashInstantsAreRunningSumsOfExpDraws) {
+  const Duration mttf = Duration::Seconds(20);
+  const Duration mttr = Duration::Seconds(5);
+  const Duration horizon = Duration::Seconds(600);
+  const FaultSchedule churn = MakeChurnSchedule({"flaky"}, mttf, mttr, horizon, 7);
+  ASSERT_GT(churn.events.size(), 10u);
+  Rng rng(7);
+  Duration t;
+  for (const FaultEvent& ev : churn.events) {
+    t += Duration::Micros(
+        static_cast<int64_t>(rng.NextExponential(static_cast<double>(mttf.ToMicros()))));
+    const Duration down = Duration::Micros(
+        static_cast<int64_t>(rng.NextExponential(static_cast<double>(mttr.ToMicros()))));
+    EXPECT_EQ(ev.at, t);
+    EXPECT_EQ(ev.duration, down);
+    EXPECT_EQ(ev.action, FaultAction::kCrashRestart);
+    EXPECT_EQ(ev.host, "flaky");
+    t += down;
+  }
+  // The next draw lands at or past the horizon: no crash was dropped.
+  t += Duration::Micros(
+      static_cast<int64_t>(rng.NextExponential(static_cast<double>(mttf.ToMicros()))));
+  EXPECT_GE(t, horizon);
+}
+
+TEST(ChaosChurn, ScheduleSurvivesSerializeParse) {
+  const FaultSchedule churn = MakeChurnSchedule({"rep-0", "rep-1", "rep-2"},
+                                                Duration::Millis(1500), Duration::Millis(300),
+                                                Duration::Seconds(4), 999);
+  ASSERT_FALSE(churn.events.empty());
+  Result<FaultSchedule> parsed = FaultSchedule::Parse(churn.Serialize());
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  EXPECT_EQ(parsed.value().name, churn.name);
+  ASSERT_EQ(parsed.value().events.size(), churn.events.size());
+  for (size_t i = 0; i < churn.events.size(); ++i) {
+    EXPECT_EQ(parsed.value().events[i].at, churn.events[i].at) << i;
+    EXPECT_EQ(parsed.value().events[i].duration, churn.events[i].duration) << i;
+    EXPECT_EQ(parsed.value().events[i].host, churn.events[i].host) << i;
+    EXPECT_EQ(parsed.value().events[i].action, FaultAction::kCrashRestart) << i;
+  }
+  EXPECT_EQ(parsed.value().Serialize(), churn.Serialize());
+}
+
+// Applies `churn` to a lone host on a bare cluster and runs well past the
+// horizon, so the last restart has landed.
+const NemesisStats& RunChurn(Cluster* cluster, Nemesis* nemesis, Duration horizon) {
+  nemesis->Deploy();
+  cluster->sim().RunFor(horizon + Duration::Seconds(600));
+  return nemesis->stats();
+}
+
+TEST(ChaosChurn, HostCyclesAndEndsUp) {
+  Cluster cluster;
+  Host* host = cluster.net().AddHost("flaky");
+  const Duration horizon = Duration::Seconds(600);
+  Nemesis nemesis(&cluster, MakeChurnSchedule({"flaky"}, Duration::Seconds(20),
+                                              Duration::Seconds(5), horizon, 7));
+  const NemesisStats& stats = RunChurn(&cluster, &nemesis, horizon);
+  EXPECT_TRUE(host->up());
+  EXPECT_GT(stats.crashes, 10u);
+  // Steady-state availability 20/25 = 0.8: downtime should be ~20% of 600s.
+  EXPECT_NEAR(stats.total_downtime.ToSeconds() / 600.0, 0.2, 0.1);
+}
+
+TEST(ChaosChurn, ApproximatesTargetAvailability) {
+  Cluster cluster;
+  cluster.net().AddHost("flaky");
+  const FaultProfile p = ProfileForAvailability(0.95, Duration::Seconds(2));
+  const Duration horizon = Duration::Seconds(3000);
+  Nemesis nemesis(&cluster, MakeChurnSchedule({"flaky"}, p.mttf, p.mttr, horizon, 9));
+  const NemesisStats& stats = RunChurn(&cluster, &nemesis, horizon);
+  EXPECT_NEAR(stats.total_downtime.ToSeconds() / 3000.0, 0.05, 0.025);
+}
+
+TEST(ChaosNemesis, CrashOnTraceFiresAtMostOnceUnderReentrantRecord) {
+  Cluster cluster;
+  Host* host = cluster.net().AddHost("victim");
+  FaultSchedule s;
+  s.name = "one-shot";
+  FaultEvent arm;
+  arm.action = FaultAction::kCrashOnTrace;
+  arm.host = "victim";
+  arm.trace_kind = TraceKind::kCustom;
+  arm.duration = Duration::Millis(50);
+  s.events.push_back(arm);
+  Nemesis nemesis(&cluster, s);
+  nemesis.Deploy();
+  cluster.sim().RunFor(Duration::Millis(1));  // arms the observer
+
+  // Every restart of the victim records the targeted breadcrumb again from
+  // inside Record(kHostRestarted), with the host up: only the one-shot
+  // guard keeps the Nemesis from crashing it a second time.
+  TraceLog& trace = cluster.trace();
+  trace.AddObserver([&trace, host](const TraceEvent& ev) {
+    if (ev.kind == TraceKind::kHostRestarted && ev.host == host->id()) {
+      trace.Record(host->id(), TraceKind::kCustom, "again");
+    }
+  });
+  trace.Record(host->id(), TraceKind::kCustom, "go");
+  EXPECT_FALSE(host->up());
+  cluster.sim().RunFor(Duration::Millis(100));
+  trace.Record(host->id(), TraceKind::kCustom, "later");
+
+  EXPECT_TRUE(host->up());
+  EXPECT_EQ(nemesis.stats().phase_crashes, 1u);
+  EXPECT_EQ(nemesis.stats().crashes, 1u);
+  EXPECT_EQ(nemesis.stats().total_downtime, Duration::Millis(50));
+  EXPECT_EQ(trace.CountOf(TraceKind::kHostCrashed), 1u);
 }
 
 // ---------------------------------------------------------------------------

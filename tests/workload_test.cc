@@ -1,9 +1,8 @@
-// Workload generator and fault injector.
+// Workload generator and Zipfian key sampler.
 
 #include <gtest/gtest.h>
 
 #include "src/core/cluster.h"
-#include "src/workload/fault_injector.h"
 #include "src/workload/generator.h"
 
 namespace wvote {
@@ -103,28 +102,6 @@ TEST_F(WorkloadTest, ThroughputComputation) {
   EXPECT_DOUBLE_EQ(s.throughput_per_sec(Duration::Seconds(60)), 2.0);
 }
 
-TEST(FaultProfileTest, AvailabilityMath) {
-  FaultProfile p = ProfileForAvailability(0.9, Duration::Seconds(10));
-  // mttf = 10s * 0.9 / 0.1 = 90s
-  EXPECT_NEAR(p.mttf.ToSeconds(), 90.0, 0.01);
-  EXPECT_EQ(p.mttr, Duration::Seconds(10));
-}
-
-TEST(FaultInjectorTest, HostCyclesAndEndsUp) {
-  Simulator sim(1);
-  Network net(&sim);
-  Host* host = net.AddHost("flaky");
-  FaultInjectorStats stats;
-  const TimePoint end = TimePoint() + Duration::Seconds(600);
-  Spawn(RunCrashRestartCycle(&sim, host, Duration::Seconds(20), Duration::Seconds(5), end,
-                             7, &stats));
-  sim.Run();
-  EXPECT_TRUE(host->up());
-  EXPECT_GT(stats.crashes, 10u);
-  // Steady-state availability 20/25 = 0.8: downtime should be ~20% of 600s.
-  EXPECT_NEAR(stats.total_downtime.ToSeconds() / 600.0, 0.2, 0.1);
-}
-
 TEST(ZipfianSamplerTest, ZeroExponentIsUniform) {
   ZipfianSampler zipf(4, 0.0);
   for (size_t k = 0; k < 4; ++k) {
@@ -160,19 +137,6 @@ TEST(ZipfianSamplerTest, SamplingIsSeedDeterministic) {
   for (int i = 0; i < 100; ++i) {
     EXPECT_EQ(zipf.Sample(&a), zipf.Sample(&b));
   }
-}
-
-TEST(FaultInjectorTest, ApproximatesTargetAvailability) {
-  Simulator sim(2);
-  Network net(&sim);
-  Host* host = net.AddHost("flaky");
-  FaultInjectorStats stats;
-  const FaultProfile p = ProfileForAvailability(0.95, Duration::Seconds(2));
-  const TimePoint end = TimePoint() + Duration::Seconds(3000);
-  Spawn(RunCrashRestartCycle(&sim, host, p.mttf, p.mttr, end, 9, &stats));
-  sim.Run();
-  const double downtime_share = stats.total_downtime.ToSeconds() / 3000.0;
-  EXPECT_NEAR(downtime_share, 0.05, 0.025);
 }
 
 }  // namespace
