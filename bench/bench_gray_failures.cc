@@ -236,36 +236,11 @@ void AppendScenarioJson(std::string* json, const char* name, const GrayResult& r
   *json += buf;
 }
 
-// Same string-search-not-a-JSON-library pattern as the other bench guards.
-double ParseCommittedDouble(const std::string& json, const char* key) {
-  const size_t at = json.find(key);
-  WVOTE_CHECK_MSG(at != std::string::npos, "baseline file is missing a guard key");
-  return std::strtod(json.c_str() + at + std::strlen(key), nullptr);
-}
-
-std::string ReadWholeFile(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  WVOTE_CHECK_MSG(f != nullptr, "cannot open --baseline file");
-  std::string out;
-  char buf[4096];
-  size_t n;
-  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) {
-    out.append(buf, n);
-  }
-  std::fclose(f);
-  return out;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   ParseBenchFlags(argc, argv);
-  std::string baseline_path;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--baseline=", 11) == 0) {
-      baseline_path = argv[i] + 11;
-    }
-  }
+  const std::string baseline_path = ParseBaselineFlag(argc, argv);
   g_reads = SmokeIters(g_reads, /*tiny=*/60);
   g_warmup = SmokeIters(g_warmup, /*tiny=*/10);
   g_recovery = SmokeIters(g_recovery, /*tiny=*/40);

@@ -216,29 +216,6 @@ double RunQuorumReadRounds(int reads) {
   return reads / secs;
 }
 
-// ---------------------------------------------------------------------------
-// Regression guard: parse "speedup": <x> out of the committed JSON (first
-// occurrence inside the pure_event object) without a JSON library.
-double ParseCommittedSpeedup(const std::string& json) {
-  const char* key = "\"speedup\":";
-  const size_t at = json.find(key);
-  WVOTE_CHECK_MSG(at != std::string::npos, "baseline file has no \"speedup\" key");
-  return std::strtod(json.c_str() + at + std::strlen(key), nullptr);
-}
-
-std::string ReadWholeFile(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  WVOTE_CHECK_MSG(f != nullptr, "cannot open --baseline file");
-  std::string out;
-  char buf[4096];
-  size_t n;
-  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) {
-    out.append(buf, n);
-  }
-  std::fclose(f);
-  return out;
-}
-
 double BestOf(int trials, const std::function<double()>& run) {
   double best = 0;
   for (int i = 0; i < trials; ++i) {
@@ -252,12 +229,7 @@ double BestOf(int trials, const std::function<double()>& run) {
 
 int main(int argc, char** argv) {
   ParseBenchFlags(argc, argv);
-  std::string baseline_path;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--baseline=", 11) == 0) {
-      baseline_path = argv[i] + 11;
-    }
-  }
+  const std::string baseline_path = ParseBaselineFlag(argc, argv);
 
   const int timers = 4096;
   const long pure_events = g_bench_smoke ? 400000 : 4000000;
@@ -318,7 +290,7 @@ int main(int argc, char** argv) {
       cancel_eps, echo.calls_per_sec, echo.sim_events_per_call, quorum_rps);
 
   if (!baseline_path.empty()) {
-    const double committed = ParseCommittedSpeedup(ReadWholeFile(baseline_path));
+    const double committed = ParseCommittedDouble(ReadWholeFile(baseline_path), "\"speedup\":");
     const double floor = committed * 0.7;
     std::printf("regression guard: measured speedup %.2fx vs committed %.2fx (floor %.2fx)\n",
                 speedup, committed, floor);

@@ -9,12 +9,14 @@
 #define WVOTE_BENCH_BENCH_UTIL_H_
 
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "src/analysis/gifford_examples.h"
+#include "src/common/check.h"
 #include "src/core/cluster.h"
 #include "src/obs/histogram.h"
 #include "src/obs/metrics.h"
@@ -207,6 +209,39 @@ inline int SmokeIters(int full, int tiny = 5) {
 
 inline Duration SmokeRun(Duration full, Duration tiny = Duration::Seconds(5)) {
   return g_bench_smoke ? (full < tiny ? full : tiny) : full;
+}
+
+// Committed-baseline guards: `--baseline=FILE` names a committed BENCH_*.json
+// whose guard keys are read back with a string search (no JSON library).
+inline std::string ParseBaselineFlag(int argc, char** argv) {
+  std::string path;
+  for (int i = 1; i < argc; ++i) {
+    if (std::strncmp(argv[i], "--baseline=", 11) == 0) {
+      path = argv[i] + 11;
+    }
+  }
+  return path;
+}
+
+inline std::string ReadWholeFile(const std::string& path) {
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  WVOTE_CHECK_MSG(f != nullptr, "cannot open --baseline file");
+  std::string out;
+  char buf[4096];
+  size_t n;
+  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) {
+    out.append(buf, n);
+  }
+  std::fclose(f);
+  return out;
+}
+
+// The number after the first occurrence of `key` (e.g. "\"speedup\":").
+inline double ParseCommittedDouble(const std::string& json, const char* key) {
+  const size_t at = json.find(key);
+  WVOTE_CHECK_MSG(at != std::string::npos,
+                  ("baseline file has no " + std::string(key) + " key").c_str());
+  return std::strtod(json.c_str() + at + std::strlen(key), nullptr);
 }
 
 // The metrics mode every bench shares, set by ParseBenchFlags.

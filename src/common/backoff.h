@@ -23,6 +23,7 @@
 #include <algorithm>
 #include <cstdint>
 
+#include "src/common/status.h"
 #include "src/common/time.h"
 
 namespace wvote {
@@ -50,6 +51,14 @@ Duration JitteredBackoff(RngT& rng, int attempt, const BackoffPolicy& policy = {
   }
   const int64_t hi = std::min<int64_t>(cap_us, static_cast<int64_t>(window_us));
   return Duration::Micros(rng.NextInRange(base_us, std::max(base_us, hi)));
+}
+
+// Transaction failures a fresh attempt can get past: a wait-die refusal, an
+// abort (crash, failed prepare) or a timeout. Every retry loop uses this one
+// predicate.
+inline bool IsRetryable(const Status& st) {
+  return st.code() == StatusCode::kConflict || st.code() == StatusCode::kAborted ||
+         st.code() == StatusCode::kTimeout;
 }
 
 }  // namespace wvote

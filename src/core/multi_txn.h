@@ -14,9 +14,9 @@
 #ifndef WVOTE_SRC_CORE_MULTI_TXN_H_
 #define WVOTE_SRC_CORE_MULTI_TXN_H_
 
-#include <map>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "src/core/suite_client.h"
 
@@ -39,9 +39,10 @@ class MultiSuiteTransaction {
   // buffered write at Commit.
   Status Write(SuiteClient* suite, std::string contents);
 
-  // Gathers a write quorum for every written suite, then runs ONE two-phase
-  // commit across the union of their members. Either every suite moves to
-  // its new version or none does.
+  // Gathers a write quorum for every written suite (refreshing a stale
+  // prefix first, exactly as SuiteTransaction::Commit does), then runs ONE
+  // two-phase commit across the union of their members. Either every suite
+  // moves to its new version or none does.
   Task<Status> Commit();
 
   Task<void> Abort();
@@ -49,22 +50,17 @@ class MultiSuiteTransaction {
   bool finished() const { return finished_; }
 
  private:
-  struct SuiteEntry {
-    SuiteClient* client = nullptr;
-    std::shared_ptr<SuiteTransaction::State> state;
-  };
-
-  SuiteEntry& EntryFor(SuiteClient* suite);
+  // The state of `suite` within this transaction, created at first touch.
+  const std::shared_ptr<SuiteTransaction::State>& EntryFor(SuiteClient* suite);
 
   Coordinator* coordinator_;
   TxnId txn_;
   bool finished_ = false;
-  std::map<SuiteClient*, SuiteEntry> entries_;
+  // One state per touched suite, in first-touch order (the order commit
+  // gathers their write quorums in).
+  std::vector<std::shared_ptr<SuiteTransaction::State>> states_;
   // Root span for the whole cross-suite transaction; every suite's phase
-  // spans parent here. Opened lazily at the first suite touch (the
-  // constructor has no Network to ask for the tracer).
-  bool trace_opened_ = false;
-  Tracer* tracer_ = nullptr;
+  // spans parent here. Opened at the first suite touch.
   TraceContext trace_;
 };
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 #include <utility>
 
 #include "src/common/backoff.h"
@@ -16,59 +17,6 @@ namespace {
 // Prefix-refresh retries per operation.
 constexpr int kMaxConfigRetries = 3;
 
-// User-declared constructor per the GCC 12 rule in src/sim/task.h: this type
-// travels by value through coroutine plumbing (Task payloads, std::function
-// callbacks).
-struct ProbeOutcome {
-  QuorumCandidate candidate;
-  HostId host = kInvalidHost;
-  Result<VersionResp> result;
-  // Set when a hedged probe's backup answered first: `candidate`/`host`
-  // describe the backup, and `backup_position` is its probe-order position
-  // (to be marked consumed so widening rounds never re-count its votes).
-  bool backup_won = false;
-  size_t backup_position = 0;
-
-  ProbeOutcome() : result(TimeoutError("unprobed")) {}
-  ProbeOutcome(QuorumCandidate c, HostId h, Result<VersionResp> r)
-      : candidate(std::move(c)), host(h), result(std::move(r)) {}
-};
-
-// One version probe. With `backup_host` valid the RPC layer hedges: it
-// sends to `host` and, after `hedge_delay`, a backup copy to `backup_host`;
-// the first reply wins and the loser is dropped idempotently. The outcome is
-// attributed to whichever host actually answered (so the vote accounting
-// credits the responder), and to `host` on timeout. With `backup_host`
-// invalid the RPC layer makes a plain call and `backup` is unused.
-Task<ProbeOutcome> SendProbe(RpcEndpoint* rpc, HostId host, QuorumCandidate candidate,
-                             HostId backup_host, QuorumCandidate backup,
-                             size_t backup_position, TxnId txn, std::string suite,
-                             bool exclusive, bool want_data, Duration hedge_delay,
-                             Duration timeout, TraceContext ctx) {
-  // if/else, NOT `exclusive ? co_await ... : co_await ...`: GCC 12
-  // miscompiles the conditional operator with co_await in its arms — the
-  // selected arm's result is copied bitwise, so a string payload ends up
-  // aliasing this coroutine's frame. See rule 4 in src/sim/task.h.
-  HedgedReply<VersionResp> reply;
-  if (exclusive) {
-    reply = co_await rpc->CallHedged<LockVersionReq, VersionResp>(
-        host, backup_host, LockVersionReq{txn, std::move(suite)}, hedge_delay, timeout, ctx);
-  } else {
-    reply = co_await rpc->CallHedged<TxnVersionReq, VersionResp>(
-        host, backup_host, TxnVersionReq{txn, std::move(suite), want_data}, hedge_delay,
-        timeout, ctx);
-  }
-  const bool backup_won =
-      reply.reply.ok() && reply.responder == backup_host && backup_host != host;
-  ProbeOutcome outcome(backup_won ? std::move(backup) : std::move(candidate),
-                       backup_won ? backup_host : host, std::move(reply.reply));
-  if (backup_won) {
-    outcome.backup_won = true;
-    outcome.backup_position = backup_position;
-  }
-  co_return std::move(outcome);
-}
-
 // Releases locks acquired by a straggler probe that answered after its
 // transaction already ended.
 Task<void> ReleaseLateLocks(RpcEndpoint* rpc, HostId host, TxnId txn, Duration timeout) {
@@ -82,6 +30,23 @@ Task<void> SendRefresh(RpcEndpoint* rpc, HostId host, std::string suite, Version
   req.version = version;
   req.contents = std::move(contents);
   (void)co_await rpc->Call<RefreshReq, RefreshResp>(host, std::move(req), timeout);
+}
+
+// A gather refused because a representative holds a newer prefix: refresh
+// the prefix and gather again (up to kMaxConfigRetries times).
+template <typename T>
+bool IsStalePrefix(const Result<T>& gather) {
+  return !gather.ok() && gather.status().code() == StatusCode::kFailedPrecondition;
+}
+
+// Everything in `release` that is not a writer: those participants only
+// need their locks dropped when the transaction ends.
+std::vector<HostId> ReadOnlyOf(std::set<HostId> release,
+                               const std::map<HostId, std::vector<WriteIntent>>& writes) {
+  for (const auto& [host, intents] : writes) {
+    release.erase(host);
+  }
+  return std::vector<HostId>(release.begin(), release.end());
 }
 
 }  // namespace
@@ -104,14 +69,11 @@ Task<Result<VersionedValue>> SuiteTransaction::ReadVersioned() {
   if (!contents.ok()) {
     co_return contents.status();
   }
-  if (state->pending_write) {
-    // Version of a buffered write is assigned at commit; report the read
-    // version if we have one, else 0.
-    co_return VersionedValue{state->read_result ? state->read_result->version : 0,
-                             std::move(contents.value())};
-  }
-  WVOTE_CHECK(state->read_result.has_value());
-  co_return VersionedValue{state->read_result->version, std::move(contents.value())};
+  // A buffered write's version is assigned at commit: report the read
+  // version if there is one, else 0.
+  WVOTE_CHECK(state->pending_write || state->read_result.has_value());
+  co_return VersionedValue{state->read_result ? state->read_result->version : 0,
+                           std::move(contents.value())};
 }
 
 Status SuiteTransaction::Write(std::string contents) {
@@ -122,7 +84,10 @@ Status SuiteTransaction::Write(std::string contents) {
   return Status::Ok();
 }
 
-Task<Status> SuiteTransaction::Commit() { return state_->client->DoCommit(state_); }
+Task<Status> SuiteTransaction::Commit() {
+  SuiteClient::OneState one{state_};
+  return SuiteClient::CommitStates(state_->client->coordinator_, std::move(one));
+}
 
 Task<void> SuiteTransaction::Abort() { return state_->client->DoAbort(state_); }
 
@@ -143,7 +108,7 @@ SuiteClient::SuiteClient(Network* net, RpcEndpoint* rpc, Coordinator* coordinato
       coordinator_(coordinator),
       config_(std::move(config)),
       options_(std::move(options)),
-      plan_cache_([this](const std::string& name) { return LatencyTo(name); },
+      plan_cache_([this](const std::string& name) { return links_.LatencyTo(name); },
                   &stats_.plan_builds),
       links_(net, rpc->host_id()) {
   WVOTE_CHECK_MSG(config_.Validate().ok(), "invalid suite config");
@@ -218,13 +183,11 @@ double SuiteClient::ProbeShareOf(const std::string& host) const {
 }
 
 double SuiteClient::MaxProbeShare() const {
-  uint64_t total = 0;
-  uint64_t max = 0;
+  double max = 0.0;
   for (const auto& [name, count] : probe_counts_) {
-    total += count;
-    max = std::max(max, count);
+    max = std::max(max, ProbeShareOf(name));
   }
-  return total == 0 ? 0.0 : static_cast<double>(max) / static_cast<double>(total);
+  return max;
 }
 
 double SuiteClient::ProbeShareGini() const {
@@ -233,16 +196,13 @@ double SuiteClient::ProbeShareGini() const {
   // should read as imbalanced even though only one host shows up in
   // probe_counts_.
   std::vector<double> counts;
-  for (const RepresentativeInfo& rep : config_.representatives) {
-    if (rep.weak()) {
-      continue;
-    }
-    const auto it = probe_counts_.find(rep.host_name);
-    counts.push_back(it == probe_counts_.end() ? 0.0 : static_cast<double>(it->second));
-  }
   double total = 0;
-  for (double c : counts) {
-    total += c;
+  for (const RepresentativeInfo& rep : config_.representatives) {
+    if (!rep.weak()) {
+      const auto it = probe_counts_.find(rep.host_name);
+      counts.push_back(it == probe_counts_.end() ? 0.0 : static_cast<double>(it->second));
+      total += counts.back();
+    }
   }
   if (counts.empty() || total == 0) {
     return 0.0;
@@ -269,28 +229,25 @@ double SuiteClient::ExpectedMaxShare() const {
 }
 
 SuiteTransaction SuiteClient::Begin(TraceContext parent) {
+  return SuiteTransaction(NewState(coordinator_->Begin(), parent, "client.txn"));
+}
+
+SuiteClient::StatePtr SuiteClient::NewState(TxnId txn, TraceContext parent,
+                                            std::string_view span_name) {
   auto state = std::make_shared<SuiteTransaction::State>();
   state->client = this;
-  state->txn = coordinator_->Begin();
+  state->txn = txn;
   if (Tracer* tracer = net_->tracer()) {
     if (parent.valid()) {
-      state->trace = tracer->StartChild(parent, rpc_->host_id(), "client.txn");
+      state->trace = tracer->StartChild(parent, rpc_->host_id(), span_name);
     } else {
-      state->trace = tracer->StartRoot(rpc_->host_id(), "client.txn");
+      state->trace = tracer->StartRoot(rpc_->host_id(), span_name);
     }
     if (state->trace.valid()) {
-      tracer->Annotate(state->trace, "txn=" + state->txn.ToString());
+      tracer->Annotate(state->trace, "txn=" + txn.ToString());
     }
   }
-  return SuiteTransaction(std::move(state));
-}
-
-HostId SuiteClient::ResolveHost(const std::string& name) const {
-  return links_.Resolve(name);
-}
-
-Duration SuiteClient::LatencyTo(const std::string& name) const {
-  return links_.LatencyTo(name);
+  return state;
 }
 
 std::shared_ptr<const ProbingStrategy> SuiteClient::PlanFor(QuorumStrategy policy) {
@@ -329,261 +286,276 @@ size_t SuiteClient::PickFastPathTarget(const std::vector<QuorumCandidate>& targe
   return 0;
 }
 
-Task<Result<SuiteClient::GatherResult>> SuiteClient::Gather(
-    std::shared_ptr<SuiteTransaction::State> state, int required_votes, bool exclusive,
-    bool want_data) {
-  const std::shared_ptr<const ProbingStrategy> strategy_ref =
-      PlanFor(options_.strategy.policy);
-  const std::vector<QuorumCandidate>& plan = strategy_ref->order;
-  // Probabilistic policies draw this operation's quorum from the cached
-  // distribution; `sampled` then maps probe position -> index into `plan`
-  // (quorum members first, the rest as widening fallbacks). Deterministic
-  // policies get an empty sample and consume no randomness, so replays of
-  // pre-strategy schedules stay bit-exact.
-  const std::vector<uint16_t> sampled =
-      strategy_ref->SampleOrder(required_votes, &net_->sim()->rng());
-
-  // Probe-position -> plan-index map: the sampled order for probabilistic
-  // policies, the plan order itself for deterministic ones. Health-aware
-  // reordering operates on this map so the plan (and its RNG consumption)
-  // stays untouched.
-  std::vector<uint16_t> order;
-  if (sampled.empty()) {
-    order.resize(plan.size());
-    for (size_t i = 0; i < plan.size(); ++i) {
-      order[i] = static_cast<uint16_t>(i);
-    }
-  } else {
-    order = sampled;
-  }
-
-  const bool use_health = health_ != nullptr;
-  const bool hedging = use_health && options_.hedged_probes;
-  const bool adaptive = use_health && options_.adaptive_timeouts;
-  if (use_health && options_.circuit_breakers) {
-    if (sampled.empty()) {
-      // Deterministic plans re-rank by observed latency: a host whose SRTT
-      // has blown past its provisioned link cost loses its preferred slot
-      // even before its breaker trips. Stale observations are forgiven, so
-      // a healed (or merely unprobed) host wins its rank back and gets
-      // re-measured. Sampled orders are left alone — their load-spreading
-      // distribution is the point — and rely on demotion below.
-      std::stable_sort(order.begin(), order.end(), [this, &plan](uint16_t a, uint16_t b) {
-        return health_->EffectiveLatency(ResolveHost(plan[a].host_name),
-                                         plan[a].expected_latency) <
-               health_->EffectiveLatency(ResolveHost(plan[b].host_name),
-                                         plan[b].expected_latency);
-      });
-    }
-    // Breaker-open and latency-inflated hosts sort to the BACK, never out: a
-    // demoted host is still probed when its votes are required for quorum.
-    // The latency test matters because a gray host with generous timeouts
-    // never FAILS — nothing trips its breaker — yet it must not keep a
-    // preferred slot. For sampled orders this is what renormalizes load over
-    // the live hosts: the relative order of healthy members (the policy's
-    // distribution) is preserved and the widening fallbacks step into the
-    // demoted member's quorum slot.
-    std::vector<char> demote(plan.size(), 0);
-    for (uint16_t idx : order) {
-      const HostId idx_host = ResolveHost(plan[idx].host_name);
-      if (health_->ShouldDemote(idx_host) ||
-          health_->LatencyDemoted(idx_host, plan[idx].expected_latency)) {
-        demote[idx] = 1;
-        ++stats_.breaker_demotions;
-      }
-    }
-    std::stable_partition(order.begin(), order.end(),
-                          [&demote](uint16_t idx) { return demote[idx] == 0; });
-  }
-
+Task<Result<SuiteClient::GatherResult>> SuiteClient::Gather(StatePtr state, int required_votes,
+                                                            bool exclusive, bool want_data) {
+  GatherPlan plan = Plan(required_votes, exclusive);
   Tracer* tracer = net_->tracer();
-  TraceContext gather_span;
+  TraceContext span;
   if (tracer != nullptr) {
-    gather_span = tracer->StartChild(state->trace, rpc_->host_id(), "phase.gather");
+    span = tracer->StartChild(state->trace, rpc_->host_id(), "phase.gather");
   }
 
   GatherResult out;
-  size_t next_candidate = 0;
-  // Probe-order positions already credited: primaries advance
-  // `next_candidate` past themselves; a hedge backup that won is recorded
-  // here so a widening round skips it instead of counting its votes twice.
-  std::set<size_t> consumed;
-  int rounds_used = 0;
-  bool fastpath_requested = false;
-
-  for (int round = 0; round < options_.max_gather_rounds && out.votes < required_votes;
-       ++round) {
-    // Choose this round's targets: enough fresh candidates to close the vote
-    // gap (all of them under kBroadcast).
-    std::vector<QuorumCandidate> targets;
-    int planned_votes = out.votes;
-    while (next_candidate < order.size() &&
-           (options_.strategy.policy == QuorumStrategy::kBroadcast ||
-            planned_votes < required_votes)) {
-      if (consumed.count(next_candidate) != 0) {
-        ++next_candidate;
-        continue;
-      }
-      const QuorumCandidate& pick = plan[order[next_candidate]];
-      targets.push_back(pick);
-      planned_votes += pick.votes;
-      ++next_candidate;
-    }
-    if (targets.empty()) {
+  int rounds = 0;
+  while (rounds < options_.max_gather_rounds && out.votes < required_votes) {
+    // Piggyback only in the first round: widening rounds are the failure
+    // path, and their members are rarely the cheapest current copy.
+    std::vector<Task<ProbeReply>> probes =
+        Probe(plan, *state, out.votes, want_data && rounds == 0, span);
+    if (probes.empty()) {
       break;  // candidate list exhausted
     }
     ++stats_.gather_rounds;
-    ++rounds_used;
-
-    // Piggyback request: only in the first round (widening rounds are the
-    // failure path; their members are rarely the cheapest current copy).
-    const size_t fastpath_target =
-        (want_data && round == 0) ? PickFastPathTarget(targets) : targets.size();
-    fastpath_requested = fastpath_requested || fastpath_target < targets.size();
-
-    // Hedge backups come from the unconsumed tail of the probe order, one
-    // distinct position per target; a backup that loses its race stays
-    // available as a widening candidate (its votes were never counted).
-    size_t hedge_scan = next_candidate;
-
-    std::vector<Task<ProbeOutcome>> probes;
-    probes.reserve(targets.size());
-    for (size_t i = 0; i < targets.size(); ++i) {
-      QuorumCandidate& candidate = targets[i];
-      const HostId host = ResolveHost(candidate.host_name);
-      ++stats_.probes_sent;
-      ++probe_counts_[candidate.host_name];
-      state->probed.insert(host);
-
-      size_t backup_pos = order.size();
-      if (hedging) {
-        while (hedge_scan < order.size() && consumed.count(hedge_scan) != 0) {
-          ++hedge_scan;
-        }
-        if (hedge_scan < order.size()) {
-          backup_pos = hedge_scan++;
-        }
-      }
-      if (backup_pos < order.size()) {
-        QuorumCandidate backup = plan[order[backup_pos]];
-        const HostId backup_host = ResolveHost(backup.host_name);
-        // The backup may be granted a lock server-side even when its reply
-        // loses the race (or the hedge never fires — aborting an unknown
-        // transaction is a no-op), so the release safety net must cover it.
-        state->probed.insert(backup_host);
-        ++stats_.hedged_probes;
-        const Duration hedge_delay = health_->HedgeDelay(host, options_.probe_timeout);
-        // The hedge is the latency-control mechanism here; the timeout is
-        // only a backstop and must leave the backup room to answer, so the
-        // hedged call keeps the configured fallback rather than the
-        // primary's (possibly fail-fast) adaptive estimate.
-        probes.push_back(SendProbe(rpc_, host, std::move(candidate), backup_host,
-                                   std::move(backup), backup_pos, state->txn,
-                                   config_.suite_name, exclusive, i == fastpath_target,
-                                   hedge_delay, options_.probe_timeout, gather_span));
-      } else {
-        Duration timeout = options_.probe_timeout;
-        if (adaptive) {
-          timeout = health_->TimeoutFor(host, options_.probe_timeout);
-        }
-        probes.push_back(SendProbe(rpc_, host, std::move(candidate), kInvalidHost,
-                                   QuorumCandidate(), 0, state->txn, config_.suite_name,
-                                   exclusive, i == fastpath_target, Duration::Zero(), timeout,
-                                   gather_span));
-      }
-    }
-
-    const int base_votes = out.votes;
+    ++rounds;
     // Named std::function bindings (not bare lambdas) per the GCC 12 rule in
     // src/sim/task.h.
-    std::function<bool(const std::vector<ProbeOutcome>&)> enough =
-        [base_votes, required_votes](const std::vector<ProbeOutcome>& got) {
+    std::function<bool(const std::vector<ProbeReply>&)> enough =
+        [base_votes = out.votes, required_votes](const std::vector<ProbeReply>& got) {
           int votes = base_votes;
-          for (const ProbeOutcome& o : got) {
-            if (o.result.ok()) {
-              votes += o.candidate.votes;
-            }
+          for (const ProbeReply& r : got) {
+            votes += r.result.ok() ? r.candidate.votes : 0;
           }
           return votes >= required_votes;
         };
     // Stragglers acquired locks after we stopped waiting: track them while
     // the transaction lives, release them if it is already over.
-    std::function<void(ProbeOutcome)> leftover =
-        [state, rpc = rpc_, timeout = options_.probe_timeout](ProbeOutcome o) {
-          if (!o.result.ok()) {
+    std::function<void(ProbeReply)> leftover =
+        [state, rpc = rpc_, timeout = options_.probe_timeout](ProbeReply r) {
+          if (!r.result.ok()) {
             return;
           }
           if (state->finished) {
-            Spawn(ReleaseLateLocks(rpc, o.host, state->txn, timeout));
+            Spawn(ReleaseLateLocks(rpc, r.host, state->txn, timeout));
           } else {
-            state->participants.insert(o.host);
+            state->participants.insert(r.host);
           }
         };
-
-    std::vector<ProbeOutcome> outcomes = co_await JoinUntil<ProbeOutcome>(
+    std::vector<ProbeReply> replies = co_await JoinUntil<ProbeReply>(
         net_->sim(), std::move(probes), std::move(enough), std::move(leftover));
-
-    for (ProbeOutcome& o : outcomes) {
-      if (o.result.ok()) {
-        if (o.backup_won) {
-          consumed.insert(o.backup_position);
-        }
-        state->participants.insert(o.host);
-        out.votes += o.candidate.votes;
-        out.current = std::max(out.current, o.result.value().version);
-        out.max_config_version =
-            std::max(out.max_config_version, o.result.value().config_version);
-        NoteVersion(o.candidate.host_name, o.result.value().version);
-        out.replies.push_back(ProbeReply{std::move(o.candidate), o.host,
-                                         std::move(o.result.value())});
-      } else if (o.result.status().code() == StatusCode::kConflict) {
-        // Wait-die said die: the whole transaction must abort and retry.
-        ++stats_.conflicts;
-        if (tracer != nullptr) {
-          tracer->EndWith(gather_span, "wait-die conflict");
-        }
-        co_return o.result.status();
+    const Status conflict = Tally(plan, replies, *state, out);
+    if (!conflict.ok()) {
+      if (tracer != nullptr) {
+        tracer->EndWith(span, "wait-die conflict");
       }
-      // Timeouts and crashes just fail to contribute votes.
+      co_return conflict;
     }
   }
 
-  if (out.max_config_version > config_.config_version) {
-    if (tracer != nullptr) {
-      tracer->EndWith(gather_span, "stale config");
-    }
-    co_return FailedPreconditionError("suite configuration is newer than client's");
-  }
-  if (out.votes < required_votes) {
-    ++stats_.unavailable;
-    // The SLO layer tracks read and write availability separately; the lock
-    // mode says which quorum this gather was for.
-    ++(exclusive ? stats_.write_unavailable : stats_.read_unavailable);
-    if (TraceLog* trace = net_->trace()) {
-      trace->Record(rpc_->host_id(), TraceKind::kQuorumFailed,
-                    config_.suite_name + " " + std::to_string(out.votes) + "/" +
-                        std::to_string(required_votes));
-    }
-    if (tracer != nullptr) {
-      tracer->EndWith(gather_span, "unavailable " + std::to_string(out.votes) + "/" +
-                                       std::to_string(required_votes));
-    }
-    co_return UnavailableError("gathered " + std::to_string(out.votes) + "/" +
-                               std::to_string(required_votes) + " votes for " +
-                               config_.suite_name);
-  }
-  if (tracer != nullptr) {
-    tracer->EndWith(gather_span,
-                    "votes=" + std::to_string(out.votes) + "/" +
-                        std::to_string(required_votes) + " rounds=" +
-                        std::to_string(rounds_used) +
-                        (fastpath_requested ? " fastpath-requested" : ""));
+  const Status verdict = Verdict(plan, out, rounds, span);
+  if (!verdict.ok()) {
+    co_return verdict;
   }
   co_return out;
 }
 
+Status SuiteClient::Verdict(const GatherPlan& plan, const GatherResult& out, int rounds,
+                            TraceContext span) {
+  Tracer* tracer = net_->tracer();
+  const std::string tally =
+      std::to_string(out.votes) + "/" + std::to_string(plan.required_votes);
+  if (out.max_config_version > config_.config_version) {
+    if (tracer != nullptr) {
+      tracer->EndWith(span, "stale config");
+    }
+    return FailedPreconditionError("suite configuration is newer than client's");
+  }
+  if (out.votes < plan.required_votes) {
+    ++stats_.unavailable;
+    // The SLO layer tracks read and write availability separately; the lock
+    // mode says which quorum this gather was for.
+    ++(plan.exclusive ? stats_.write_unavailable : stats_.read_unavailable);
+    if (TraceLog* trace = net_->trace()) {
+      trace->Record(rpc_->host_id(), TraceKind::kQuorumFailed, config_.suite_name + " " + tally);
+    }
+    if (tracer != nullptr) {
+      tracer->EndWith(span, "unavailable " + tally);
+    }
+    return UnavailableError("gathered " + tally + " votes for " + config_.suite_name);
+  }
+  if (tracer != nullptr) {
+    tracer->EndWith(span, "votes=" + tally + " rounds=" + std::to_string(rounds) +
+                              (plan.fastpath_requested ? " fastpath-requested" : ""));
+  }
+  return Status::Ok();
+}
+
+SuiteClient::GatherPlan SuiteClient::Plan(int required_votes, bool exclusive) {
+  GatherPlan plan;
+  plan.strategy = PlanFor(options_.strategy.policy);
+  plan.required_votes = required_votes;
+  plan.exclusive = exclusive;
+  const std::vector<QuorumCandidate>& candidates = plan.strategy->order;
+  // Probabilistic policies draw this operation's quorum from the cached
+  // distribution: quorum members first, the rest as widening fallbacks.
+  // Deterministic policies draw nothing and consume no randomness, so
+  // replays of pre-strategy schedules stay bit-exact; they walk the plan
+  // order itself. Health-aware reordering permutes only this map, so the
+  // plan (and its RNG consumption) stays untouched.
+  plan.order = plan.strategy->SampleOrder(required_votes, &net_->sim()->rng());
+  const bool sampled = !plan.order.empty();
+  if (!sampled) {
+    plan.order.resize(candidates.size());
+    std::iota(plan.order.begin(), plan.order.end(), uint16_t{0});
+  }
+  if (health_ == nullptr || !options_.circuit_breakers) {
+    return plan;
+  }
+  if (!sampled) {
+    // Deterministic plans re-rank by observed latency: a host whose SRTT has
+    // blown past its provisioned link cost loses its preferred slot even
+    // before its breaker trips. Stale observations are forgiven, so a healed
+    // (or merely unprobed) host wins its rank back and gets re-measured.
+    // Sampled orders are left alone — their load-spreading distribution is
+    // the point — and rely on demotion below.
+    std::stable_sort(plan.order.begin(), plan.order.end(), [&](uint16_t a, uint16_t b) {
+      return health_->EffectiveLatency(links_.Resolve(candidates[a].host_name),
+                                       candidates[a].expected_latency) <
+             health_->EffectiveLatency(links_.Resolve(candidates[b].host_name),
+                                       candidates[b].expected_latency);
+    });
+  }
+  // Breaker-open and latency-inflated hosts sort to the BACK, never out: a
+  // demoted host is still probed when its votes are required for quorum.
+  // The latency test matters because a gray host with generous timeouts
+  // never FAILS — nothing trips its breaker — yet it must not keep a
+  // preferred slot. For sampled orders this is what renormalizes load over
+  // the live hosts: the relative order of healthy members (the policy's
+  // distribution) is preserved and the widening fallbacks step into the
+  // demoted member's quorum slot.
+  std::vector<char> demote(candidates.size(), 0);
+  for (uint16_t idx : plan.order) {
+    const HostId host = links_.Resolve(candidates[idx].host_name);
+    if (health_->ShouldDemote(host) ||
+        health_->LatencyDemoted(host, candidates[idx].expected_latency)) {
+      demote[idx] = 1;
+      ++stats_.breaker_demotions;
+    }
+  }
+  std::stable_partition(plan.order.begin(), plan.order.end(),
+                        [&demote](uint16_t idx) { return demote[idx] == 0; });
+  return plan;
+}
+
+std::vector<Task<SuiteClient::ProbeReply>> SuiteClient::Probe(GatherPlan& plan,
+                                                               SuiteTransaction::State& state,
+                                                               int votes, bool piggyback,
+                                                               TraceContext span) {
+  // This round's targets: enough fresh candidates to close the vote gap
+  // (all of them under kBroadcast).
+  std::vector<QuorumCandidate> targets;
+  while (plan.next < plan.order.size() &&
+         (options_.strategy.policy == QuorumStrategy::kBroadcast ||
+          votes < plan.required_votes)) {
+    const size_t pos = plan.next++;
+    if (plan.consumed.count(pos) == 0) {
+      targets.push_back(plan.at(pos));
+      votes += targets.back().votes;
+    }
+  }
+  std::vector<Task<ProbeReply>> probes;
+  if (targets.empty()) {
+    return probes;
+  }
+  const size_t fastpath = piggyback ? PickFastPathTarget(targets) : targets.size();
+  plan.fastpath_requested = plan.fastpath_requested || fastpath < targets.size();
+
+  // Hedge backups come from the unconsumed tail of the probe order, one
+  // distinct position per target; a backup that loses its race stays
+  // available as a widening candidate (its votes were never counted).
+  const bool hedging = health_ != nullptr && options_.hedged_probes;
+  const bool adaptive = health_ != nullptr && options_.adaptive_timeouts;
+  size_t hedge_scan = plan.next;
+  probes.reserve(targets.size());
+  for (size_t i = 0; i < targets.size(); ++i) {
+    const HostId host = links_.Resolve(targets[i].host_name);
+    ++stats_.probes_sent;
+    ++probe_counts_[targets[i].host_name];
+    state.probed.insert(host);
+
+    while (hedging && hedge_scan < plan.order.size() && plan.consumed.count(hedge_scan) != 0) {
+      ++hedge_scan;
+    }
+    ProbeReply backup;
+    Duration hedge_delay = Duration::Zero();
+    Duration timeout = options_.probe_timeout;
+    if (hedging && hedge_scan < plan.order.size()) {
+      const QuorumCandidate& pick = plan.at(hedge_scan);
+      backup = ProbeReply(pick, links_.Resolve(pick.host_name), hedge_scan++);
+      // The backup may be granted a lock server-side even when its reply
+      // loses the race (or the hedge never fires — aborting an unknown
+      // transaction is a no-op), so the release safety net must cover it.
+      state.probed.insert(backup.host);
+      ++stats_.hedged_probes;
+      // The hedge is the latency-control mechanism here; the timeout is only
+      // a backstop and must leave the backup room to answer, so the hedged
+      // call keeps the configured fallback rather than the primary's
+      // (possibly fail-fast) adaptive estimate.
+      hedge_delay = health_->HedgeDelay(host, options_.probe_timeout);
+    } else if (adaptive) {
+      timeout = health_->TimeoutFor(host, options_.probe_timeout);
+    }
+    TxnVersionReq req(state.txn, config_.suite_name, i == fastpath);
+    probes.push_back(SendProbe(rpc_, ProbeReply(std::move(targets[i]), host), std::move(backup),
+                               std::move(req), plan.exclusive, hedge_delay, timeout, span));
+  }
+  return probes;
+}
+
+Status SuiteClient::Tally(GatherPlan& plan, std::vector<ProbeReply>& replies,
+                          SuiteTransaction::State& state, GatherResult& out) {
+  for (ProbeReply& r : replies) {
+    if (r.result.ok()) {
+      if (r.backup_position != ProbeReply::kPrimary) {
+        plan.consumed.insert(r.backup_position);
+      }
+      state.participants.insert(r.host);
+      out.votes += r.candidate.votes;
+      out.current = std::max(out.current, r.result->version);
+      out.max_config_version = std::max(out.max_config_version, r.result->config_version);
+      NoteVersion(r.candidate.host_name, r.result->version);
+      out.replies.push_back(std::move(r));
+    } else if (r.result.status().code() == StatusCode::kConflict) {
+      // Wait-die said die: the whole transaction must abort and retry.
+      ++stats_.conflicts;
+      return r.result.status();
+    }
+    // Timeouts and crashes just fail to contribute votes.
+  }
+  return Status::Ok();
+}
+
+Task<SuiteClient::ProbeReply> SuiteClient::SendProbe(RpcEndpoint* rpc, ProbeReply target,
+                                                     ProbeReply backup, TxnVersionReq req,
+                                                     bool exclusive, Duration hedge_delay,
+                                                     Duration timeout, TraceContext ctx) {
+  // With a backup host the RPC layer hedges: it sends to the target and,
+  // after `hedge_delay`, a copy to the backup; the first reply wins and the
+  // loser is dropped idempotently. Without one it makes a plain call.
+  //
+  // if/else, NOT `exclusive ? co_await ... : co_await ...`: GCC 12
+  // miscompiles the conditional operator with co_await in its arms — the
+  // selected arm's result is copied bitwise, so a string payload ends up
+  // aliasing this coroutine's frame. See rule 4 in src/sim/task.h.
+  HedgedReply<VersionResp> reply;
+  if (exclusive) {
+    reply = co_await rpc->CallHedged<LockVersionReq, VersionResp>(
+        target.host, backup.host, LockVersionReq(req.txn, std::move(req.suite)), hedge_delay,
+        timeout, ctx);
+  } else {
+    reply = co_await rpc->CallHedged<TxnVersionReq, VersionResp>(
+        target.host, backup.host, std::move(req), hedge_delay, timeout, ctx);
+  }
+  // Credit whichever host answered (the target on timeout), so the tally
+  // counts the responder's votes.
+  const bool backup_won =
+      reply.reply.ok() && reply.responder == backup.host && backup.host != target.host;
+  ProbeReply& winner = backup_won ? backup : target;
+  winner.result = std::move(reply.reply);
+  co_return std::move(winner);
+}
+
 Task<Result<SuiteReadResp>> SuiteClient::FetchData(
-    std::shared_ptr<SuiteTransaction::State> state, const GatherResult& gather) {
+    StatePtr state, const GatherResult& gather) {
   // Fetch from the cheapest current member — Gifford's "read from the best
   // up-to-date representative". The candidates already carry their expected
   // latency from the (latency-ordered) plan, so a min-scan per attempt
@@ -591,7 +563,7 @@ Task<Result<SuiteReadResp>> SuiteClient::FetchData(
   // choice stable and deterministic.
   std::vector<const ProbeReply*> members;
   for (const ProbeReply& r : gather.replies) {
-    if (r.resp.version == gather.current) {
+    if (r.result->version == gather.current) {
       members.push_back(&r);
     }
   }
@@ -653,39 +625,29 @@ void SuiteClient::SpawnRefreshes(const GatherResult& gather, Version current,
   // refreshed too (the install is conditional server-side, so an
   // already-current straggler ignores it) — this is what lets a recovered
   // replica catch up from any broadcast reader.
-  std::set<HostId> confirmed_current;
   for (const ProbeReply& r : gather.replies) {
-    if (r.resp.version >= current) {
-      confirmed_current.insert(r.host);
-    } else {
+    if (r.result->version < current) {
       ++stats_.refreshes_spawned;
       Spawn(SendRefresh(rpc_, r.host, config_.suite_name, current, contents,
                         options_.data_timeout));
     }
   }
-  if (options_.strategy.policy == QuorumStrategy::kBroadcast) {
-    for (const RepresentativeInfo& rep : config_.representatives) {
-      if (rep.weak()) {
-        continue;
-      }
-      const HostId host = ResolveHost(rep.host_name);
-      bool probed_stale = false;
-      for (const ProbeReply& r : gather.replies) {
-        if (r.host == host) {
-          probed_stale = r.resp.version < current;
-          break;
-        }
-      }
-      if (confirmed_current.count(host) == 0 && !probed_stale) {
-        ++stats_.refreshes_spawned;
-        Spawn(SendRefresh(rpc_, host, config_.suite_name, current, contents,
-                          options_.data_timeout));
-      }
+  if (options_.strategy.policy != QuorumStrategy::kBroadcast) {
+    return;
+  }
+  for (const RepresentativeInfo& rep : config_.representatives) {
+    const HostId host = rep.weak() ? kInvalidHost : links_.Resolve(rep.host_name);
+    if (host != kInvalidHost &&
+        std::none_of(gather.replies.begin(), gather.replies.end(),
+                     [host](const ProbeReply& r) { return r.host == host; })) {
+      ++stats_.refreshes_spawned;
+      Spawn(SendRefresh(rpc_, host, config_.suite_name, current, contents,
+                        options_.data_timeout));
     }
   }
 }
 
-Task<Result<std::string>> SuiteClient::DoRead(std::shared_ptr<SuiteTransaction::State> state) {
+Task<Result<std::string>> SuiteClient::DoRead(StatePtr state) {
   if (state->finished) {
     co_return FailedPreconditionError("transaction already finished");
   }
@@ -696,203 +658,234 @@ Task<Result<std::string>> SuiteClient::DoRead(std::shared_ptr<SuiteTransaction::
     co_return state->read_result->contents;  // repeated read
   }
 
-  for (int attempt = 0; attempt <= kMaxConfigRetries; ++attempt) {
-    Result<GatherResult> gather = co_await Gather(state, config_.read_quorum, false,
-                                                 /*want_data=*/options_.fastpath_reads);
-    if (!gather.ok()) {
-      if (gather.status().code() == StatusCode::kFailedPrecondition) {
-        WVOTE_CO_RETURN_IF_ERROR(co_await RefreshConfigFromPrefix());
-        continue;
-      }
-      co_return gather.status();
+  Result<GatherResult> gather = co_await Gather(state, config_.read_quorum, false,
+                                               /*want_data=*/options_.fastpath_reads);
+  for (int attempt = 0; IsStalePrefix(gather); ++attempt) {
+    WVOTE_CO_RETURN_IF_ERROR(co_await RefreshConfigFromPrefix());
+    if (attempt == kMaxConfigRetries) {
+      co_return FailedPreconditionError("configuration kept changing during read");
     }
-    ++stats_.reads;
-    const Version current = gather.value().current;
+    gather = co_await Gather(state, config_.read_quorum, false, options_.fastpath_reads);
+  }
+  if (!gather.ok()) {
+    co_return gather.status();
+  }
+  ++stats_.reads;
+  const Version current = gather.value().current;
+  if (current == 0) {
+    // Never written: reads as empty.
+    state->read_result = VersionedValue{0, ""};
+    co_return std::string();
+  }
 
-    if (current == 0) {
-      // Never written: reads as empty.
-      state->read_result = VersionedValue{0, ""};
-      co_return std::string();
-    }
-
-    if (cache_ != nullptr) {
-      const std::string* cached = cache_->Lookup(config_.suite_name, current);
-      if (cached != nullptr) {
-        ++stats_.cache_hits;
-        state->read_result = VersionedValue{current, *cached};
-        SpawnRefreshes(gather.value(), current, *cached);
-        co_return *cached;
-      }
-    }
-
+  std::string contents;
+  const std::string* cached =
+      cache_ != nullptr ? cache_->Lookup(config_.suite_name, current) : nullptr;
+  if (cached != nullptr) {
+    ++stats_.cache_hits;
+    contents = *cached;
+  } else {
+    // Fast path: a probe piggybacked its contents and the gathered quorum
+    // proves that copy current — the read is done in one round trip. This is
+    // exactly Gifford's read rule with the data transfer overlapped into the
+    // version poll; the currency decision is unchanged.
+    ProbeReply* piggybacked = nullptr;
     if (options_.fastpath_reads) {
-      // Fast path: a probe piggybacked its contents and the gathered quorum
-      // proves that copy current — the read is done in one round trip. This
-      // is exactly Gifford's read rule with the data transfer overlapped
-      // into the version poll; the currency decision is unchanged.
       for (ProbeReply& r : gather.value().replies) {
-        if (r.resp.has_data && r.resp.version == current) {
-          ++stats_.fastpath_hits;
-          if (Tracer* tracer = net_->tracer()) {
-            tracer->Annotate(state->trace, "fastpath-hit");
-          }
-          // The avoided fetch reply would have cost SuiteReadResp wire bytes.
-          stats_.fastpath_bytes_saved += 64 + r.resp.contents.size();
-          if (cache_ != nullptr) {
-            cache_->Update(config_.suite_name, current, r.resp.contents);
-          }
-          SpawnRefreshes(gather.value(), current, r.resp.contents);
-          state->read_result = VersionedValue{current, std::move(r.resp.contents)};
-          co_return state->read_result->contents;
+        if (piggybacked == nullptr && r.result->has_data && r.result->version == current) {
+          piggybacked = &r;
         }
       }
+      ++(piggybacked != nullptr ? stats_.fastpath_hits : stats_.fastpath_misses);
+      if (Tracer* tracer = net_->tracer()) {
+        tracer->Annotate(state->trace, piggybacked != nullptr ? "fastpath-hit" : "fastpath-miss");
+      }
+    }
+    if (piggybacked != nullptr) {
+      // The avoided fetch reply would have cost SuiteReadResp wire bytes.
+      stats_.fastpath_bytes_saved += 64 + piggybacked->result->contents.size();
+      contents = std::move(piggybacked->result->contents);
+    } else {
       // Piggybacked copy stale, lost, or never requested: pay the explicit
       // fetch from a proven-current member.
-      ++stats_.fastpath_misses;
-      if (Tracer* tracer = net_->tracer()) {
-        tracer->Annotate(state->trace, "fastpath-miss");
+      Result<SuiteReadResp> data = co_await FetchData(state, gather.value());
+      if (!data.ok()) {
+        co_return data.status();
       }
-    }
-
-    Result<SuiteReadResp> data = co_await FetchData(state, gather.value());
-    if (!data.ok()) {
-      co_return data.status();
+      contents = std::move(data.value().contents);
     }
     if (cache_ != nullptr) {
-      cache_->Update(config_.suite_name, current, data.value().contents);
+      cache_->Update(config_.suite_name, current, contents);
     }
-    SpawnRefreshes(gather.value(), current, data.value().contents);
-    state->read_result = VersionedValue{current, data.value().contents};
-    co_return std::move(data.value().contents);
   }
-  co_return FailedPreconditionError("configuration kept changing during read");
+  SpawnRefreshes(gather.value(), current, contents);
+  state->read_result = VersionedValue{current, contents};
+  co_return std::move(contents);
 }
 
-Task<Status> SuiteClient::DoCommit(std::shared_ptr<SuiteTransaction::State> state) {
-  if (state->finished) {
-    co_return FailedPreconditionError("transaction already finished");
-  }
-
-  if (!state->pending_write) {
-    // Read-only: release locks at every host we may have locked (including
-    // probes that timed out client-side but were granted server-side).
-    state->finished = true;
-    ++stats_.commits;
-    std::set<HostId> release = state->participants;
-    release.insert(state->probed.begin(), state->probed.end());
-    std::vector<HostId> read_only(release.begin(), release.end());
-    Status st = co_await coordinator_->CommitTransaction(state->txn, {},
-                                                         std::move(read_only), state->trace);
-    if (Tracer* tracer = net_->tracer()) {
-      tracer->EndWith(state->trace, "committed read-only");
+template <typename States>
+Task<Status> SuiteClient::CommitStates(Coordinator* coordinator, States states) {
+  for (const StatePtr& state : states) {
+    if (state->finished) {
+      co_return FailedPreconditionError("transaction already finished");
     }
-    co_return st;
   }
-
-  for (int attempt = 0; attempt <= kMaxConfigRetries; ++attempt) {
-    Result<GatherResult> gather = co_await Gather(state, config_.write_quorum, true);
-    if (!gather.ok()) {
-      if (gather.status().code() == StatusCode::kFailedPrecondition) {
-        WVOTE_CO_RETURN_IF_ERROR(co_await RefreshConfigFromPrefix());
-        continue;
+  // An exclusive write quorum for every written suite, under its newest
+  // prefix: a stale one is refreshed and the gather retried. All gathers
+  // share one TxnId, so wait-die resolves cross-suite lock conflicts.
+  std::map<HostId, std::vector<WriteIntent>> writes;
+  for (const StatePtr& state : states) {
+    if (!state->pending_write) {
+      continue;
+    }
+    SuiteClient* client = state->client;
+    Result<GatherResult> gather =
+        co_await client->Gather(state, client->config_.write_quorum, true);
+    for (int attempt = 0; IsStalePrefix(gather); ++attempt) {
+      WVOTE_CO_RETURN_IF_ERROR(co_await client->RefreshConfigFromPrefix());
+      if (attempt == kMaxConfigRetries) {
+        gather = FailedPreconditionError("configuration kept changing during commit");
+        break;
       }
-      co_await DoAbort(state);
+      gather = co_await client->Gather(state, client->config_.write_quorum, true);
+    }
+    if (!gather.ok()) {
+      co_await AbortStates(coordinator, states);
       co_return gather.status();
     }
-    ++stats_.writes;
-
-    const Version next = gather.value().current + 1;
-    // Serialize the versioned value exactly once per commit; every quorum
+    ++client->stats_.writes;
+    state->installing = gather.value().current + 1;
+    // Serialize the versioned value exactly once per suite; every quorum
     // member's intent (and every message hop) shares the one buffer.
-    SharedPayload payload(VersionedValue{next, *state->pending_write}.Serialize());
-    stats_.commit_bytes_serialized += payload.size();
-
-    std::map<HostId, std::vector<WriteIntent>> writes;
+    const SharedPayload payload(
+        VersionedValue{state->installing, *state->pending_write}.Serialize());
+    client->stats_.commit_bytes_serialized += payload.size();
     for (const ProbeReply& r : gather.value().replies) {
-      writes[r.host] = {WriteIntent{SuiteValueKey(config_.suite_name), payload}};
+      writes[r.host].push_back(WriteIntent(SuiteValueKey(client->config_.suite_name), payload));
     }
-    std::set<HostId> release = state->participants;
-    release.insert(state->probed.begin(), state->probed.end());
-    std::vector<HostId> read_only;
-    for (HostId h : release) {
-      if (writes.find(h) == writes.end()) {
-        read_only.push_back(h);
-      }
-    }
-
-    state->finished = true;
-    Status st = co_await coordinator_->CommitTransaction(state->txn, std::move(writes),
-                                                         std::move(read_only), state->trace);
-    if (st.ok()) {
-      ++stats_.commits;
-      state->committed_version = next;
-      // The write quorum now holds `next`; remember that for future
-      // fast-path targeting.
-      for (const ProbeReply& r : gather.value().replies) {
-        NoteVersion(r.candidate.host_name, next);
-      }
-      if (cache_ != nullptr) {
-        cache_->Update(config_.suite_name, next, *state->pending_write);
-      }
-    } else {
-      ++stats_.aborts;
-    }
-    if (Tracer* tracer = net_->tracer()) {
-      tracer->EndWith(state->trace,
-                      st.ok() ? "committed v" + std::to_string(next) : st.ToString());
-    }
-    co_return st;
+    state->write_quorum = std::move(gather.value().replies);
   }
-  co_await DoAbort(state);
-  co_return FailedPreconditionError("configuration kept changing during commit");
+
+  // Everything locked anywhere (including probes that timed out client-side
+  // but were granted server-side) and not written gets released.
+  std::set<HostId> release;
+  for (const StatePtr& state : states) {
+    release.merge(state->ReleaseSet());
+    state->finished = true;
+  }
+  std::vector<HostId> read_only = ReadOnlyOf(std::move(release), writes);
+  const StatePtr& lead = states.front();
+  const bool read_only_txn = writes.empty();
+  Status st = co_await coordinator->CommitTransaction(lead->txn, std::move(writes),
+                                                      std::move(read_only), lead->trace);
+  for (const StatePtr& state : states) {
+    SuiteClient* client = state->client;
+    if (!st.ok()) {
+      ++client->stats_.aborts;
+      continue;
+    }
+    ++client->stats_.commits;
+    if (state->pending_write) {
+      state->committed_version = state->installing;
+      // The write quorum now holds the new version; remember that for
+      // future fast-path targeting.
+      for (const ProbeReply& r : state->write_quorum) {
+        client->NoteVersion(r.candidate.host_name, state->installing);
+      }
+      if (client->cache_ != nullptr) {
+        client->cache_->Update(client->config_.suite_name, state->installing,
+                               *state->pending_write);
+      }
+    }
+  }
+  if (Tracer* tracer = lead->client->net_->tracer()) {
+    if (!st.ok()) {
+      tracer->EndWith(lead->trace, st.ToString());
+    } else if (read_only_txn) {
+      tracer->EndWith(lead->trace, "committed read-only");
+    } else {
+      std::string note = "committed";
+      for (const StatePtr& state : states) {
+        if (state->pending_write) {
+          note += " v" + std::to_string(state->committed_version);
+        }
+      }
+      tracer->EndWith(lead->trace, note);
+    }
+  }
+  co_return st;
 }
 
-Task<void> SuiteClient::DoAbort(std::shared_ptr<SuiteTransaction::State> state) {
-  if (state->finished) {
+template <typename States>
+Task<void> SuiteClient::AbortStates(Coordinator* coordinator, States states) {
+  std::set<HostId> release;
+  bool aborted = false;
+  for (const StatePtr& state : states) {
+    if (!state->finished) {
+      state->finished = true;
+      aborted = true;
+      ++state->client->stats_.aborts;
+      release.merge(state->ReleaseSet());
+    }
+  }
+  if (!aborted) {
     co_return;
   }
-  state->finished = true;
-  ++stats_.aborts;
-  std::set<HostId> release = state->participants;
-  release.insert(state->probed.begin(), state->probed.end());
+  const StatePtr& lead = states.front();
   std::vector<HostId> targets(release.begin(), release.end());
-  co_await coordinator_->AbortTransaction(state->txn, std::move(targets), state->trace);
-  if (Tracer* tracer = net_->tracer()) {
-    tracer->EndWith(state->trace, "aborted");
+  co_await coordinator->AbortTransaction(lead->txn, std::move(targets), lead->trace);
+  if (Tracer* tracer = lead->client->net_->tracer()) {
+    tracer->EndWith(lead->trace, "aborted");
   }
 }
 
-Task<Result<std::string>> SuiteClient::ReadOnce(int retries) {
+template Task<Status> SuiteClient::CommitStates(Coordinator*, OneState);
+template Task<Status> SuiteClient::CommitStates(Coordinator*, std::vector<StatePtr>);
+template Task<void> SuiteClient::AbortStates(Coordinator*, OneState);
+template Task<void> SuiteClient::AbortStates(Coordinator*, std::vector<StatePtr>);
+
+Task<void> SuiteClient::DoAbort(StatePtr state) {
+  OneState one{std::move(state)};
+  return AbortStates(coordinator_, std::move(one));
+}
+
+template <typename T>
+Task<T> SuiteClient::RunOnce(const char* root_name, std::optional<std::string> write,
+                             int retries) {
   // Root span for the whole operation: retried attempts become sibling
-  // "client.txn" children, so one trace tells the full story of the read.
+  // "client.txn" children, so one trace tells the full story of the op.
   Tracer* tracer = net_->tracer();
   TraceContext root;
   if (tracer != nullptr) {
-    root = tracer->StartRoot(rpc_->host_id(), "client.read");
+    root = tracer->StartRoot(rpc_->host_id(), root_name);
   }
   Status last = InternalError("no attempts");
   for (int i = 0; i < retries; ++i) {
     SuiteTransaction txn = Begin(root);
-    Result<std::string> contents = co_await txn.Read();
-    if (contents.ok()) {
-      Status st = co_await txn.Commit();
-      if (st.ok()) {
-        if (tracer != nullptr) {
-          tracer->EndWith(root, "ok attempts=" + std::to_string(i + 1));
-        }
-        co_return contents;
-      }
-      last = st;
+    Result<std::string> contents = std::string();
+    if (write) {
+      last = txn.Write(*write);
     } else {
+      contents = co_await txn.Read();
       last = contents.status();
+    }
+    if (last.ok()) {
+      last = co_await txn.Commit();
+    } else {
       co_await txn.Abort();
     }
-    if (last.code() != StatusCode::kConflict && last.code() != StatusCode::kAborted &&
-        last.code() != StatusCode::kTimeout) {
+    if (last.ok()) {
       if (tracer != nullptr) {
-        tracer->EndWith(root, last.ToString());
+        tracer->EndWith(root, "ok attempts=" + std::to_string(i + 1));
       }
-      co_return last;
+      if constexpr (std::is_same_v<T, Status>) {
+        co_return last;
+      } else {
+        co_return contents;
+      }
+    }
+    if (!IsRetryable(last)) {
+      break;
     }
     // Jittered exponential backoff before retrying a conflicted transaction.
     ++stats_.retries;
@@ -904,40 +897,13 @@ Task<Result<std::string>> SuiteClient::ReadOnce(int retries) {
   co_return last;
 }
 
+Task<Result<std::string>> SuiteClient::ReadOnce(int retries) {
+  return RunOnce<Result<std::string>>("client.read", std::nullopt, retries);
+}
+
 Task<Status> SuiteClient::WriteOnce(std::string contents, int retries) {
-  Tracer* tracer = net_->tracer();
-  TraceContext root;
-  if (tracer != nullptr) {
-    root = tracer->StartRoot(rpc_->host_id(), "client.write");
-  }
-  Status last = InternalError("no attempts");
-  for (int i = 0; i < retries; ++i) {
-    SuiteTransaction txn = Begin(root);
-    Status st = txn.Write(contents);
-    if (st.ok()) {
-      st = co_await txn.Commit();
-    }
-    if (st.ok()) {
-      if (tracer != nullptr) {
-        tracer->EndWith(root, "ok attempts=" + std::to_string(i + 1));
-      }
-      co_return st;
-    }
-    last = st;
-    if (last.code() != StatusCode::kConflict && last.code() != StatusCode::kAborted &&
-        last.code() != StatusCode::kTimeout) {
-      if (tracer != nullptr) {
-        tracer->EndWith(root, last.ToString());
-      }
-      co_return last;
-    }
-    ++stats_.retries;
-    co_await net_->sim()->Sleep(JitteredBackoff(net_->sim()->rng(), i));
-  }
-  if (tracer != nullptr) {
-    tracer->EndWith(root, last.ToString());
-  }
-  co_return last;
+  return RunOnce<Status>("client.write", std::optional<std::string>(std::move(contents)),
+                         retries);
 }
 
 Task<Status> SuiteClient::RefreshConfigFromPrefix() {
@@ -950,7 +916,7 @@ Task<Status> SuiteClient::RefreshConfigFromPrefix() {
   uint64_t best_version = config_.config_version;
   HostId best_host = kInvalidHost;
   for (const QuorumCandidate& candidate : strategy->order) {
-    const HostId host = ResolveHost(candidate.host_name);
+    const HostId host = links_.Resolve(candidate.host_name);
     Result<VersionResp> resp = co_await rpc_->Call<VersionInquiryReq, VersionResp>(
         host, VersionInquiryReq{config_.suite_name}, options_.probe_timeout);
     if (resp.ok() && resp.value().config_version > best_version) {
@@ -992,9 +958,7 @@ Task<Status> SuiteClient::Reconfigure(SuiteConfig new_config, int retries) {
     // ever ages, so it eventually beats the stream of younger transactions.
     last = co_await TryReconfigure(std::move(candidate),
                                    coordinator_->BeginAt(original_timestamp));
-    if (last.ok() || (last.code() != StatusCode::kConflict &&
-                      last.code() != StatusCode::kAborted &&
-                      last.code() != StatusCode::kTimeout)) {
+    if (last.ok() || !IsRetryable(last)) {
       co_return last;
     }
     ++stats_.retries;
@@ -1006,15 +970,7 @@ Task<Status> SuiteClient::Reconfigure(SuiteConfig new_config, int retries) {
 }
 
 Task<Status> SuiteClient::TryReconfigure(SuiteConfig new_config, TxnId txn) {
-  auto state = std::make_shared<SuiteTransaction::State>();
-  state->client = this;
-  state->txn = txn;
-  if (Tracer* tracer = net_->tracer()) {
-    state->trace = tracer->StartRoot(rpc_->host_id(), "client.reconfigure");
-    if (state->trace.valid()) {
-      tracer->Annotate(state->trace, "txn=" + txn.ToString());
-    }
-  }
+  const StatePtr state = NewState(txn, TraceContext(), "client.reconfigure");
 
   // Write quorum under the OLD configuration (the paper's rule for changing
   // the prefix).
@@ -1045,7 +1001,7 @@ Task<Status> SuiteClient::TryReconfigure(SuiteConfig new_config, TxnId txn) {
     if (rep.weak()) {
       continue;  // weak representatives are client-side caches, not servers
     }
-    const HostId host = ResolveHost(rep.host_name);
+    const HostId host = links_.Resolve(rep.host_name);
     if (targets.count(host) != 0) {
       continue;
     }
@@ -1084,15 +1040,7 @@ Task<Status> SuiteClient::TryReconfigure(SuiteConfig new_config, TxnId txn) {
     writes[host] = {WriteIntent{SuitePrefixKey(config_.suite_name), prefix_bytes},
                     WriteIntent{SuiteValueKey(config_.suite_name), value_bytes}};
   }
-  std::set<HostId> release = state->participants;
-  release.insert(state->probed.begin(), state->probed.end());
-  std::vector<HostId> read_only;
-  for (HostId h : release) {
-    if (writes.find(h) == writes.end()) {
-      read_only.push_back(h);
-    }
-  }
-
+  std::vector<HostId> read_only = ReadOnlyOf(state->ReleaseSet(), writes);
   state->finished = true;
   Status st = co_await coordinator_->CommitTransaction(state->txn, std::move(writes),
                                                        std::move(read_only), state->trace);

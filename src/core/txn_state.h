@@ -10,6 +10,7 @@
 #include <optional>
 #include <set>
 #include <string>
+#include <vector>
 
 #include "src/core/suite_client.h"
 
@@ -32,6 +33,10 @@ struct SuiteTransaction::State {
   // Version installed by a successful write commit (0 until then). Chaos
   // histories pair each acked write with the version it committed at.
   Version committed_version = 0;
+  // Set by the commit path between the write gather and the two-phase
+  // commit's outcome: the version being installed and the quorum getting it.
+  Version installing = 0;
+  std::vector<SuiteClient::ProbeReply> write_quorum;
   // This attempt's "client.txn" span. Every phase recorded on behalf of the
   // transaction (gather, fetch, prepare, disk, commit-ack) parents here, so
   // the phases tile the attempt span exactly — sim time only advances at

@@ -1,5 +1,6 @@
 #include "src/kv/kv_store.h"
 
+#include "src/common/backoff.h"
 #include "src/common/bytes.h"
 
 namespace wvote {
@@ -92,8 +93,7 @@ Task<Status> ReplicatedKvStore::Mutate(
       }
       last = st;
     }
-    if (last.code() != StatusCode::kConflict && last.code() != StatusCode::kAborted &&
-        last.code() != StatusCode::kTimeout) {
+    if (!IsRetryable(last)) {
       co_return last;
     }
   }

@@ -6,38 +6,6 @@
 namespace wvote {
 namespace {
 
-// Minimal JSON string escaping; metric keys are printable by construction
-// but label values come from host/suite names, so be safe.
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 HistogramSnapshot SnapshotOf(const LatencyHistogram& h) {
   HistogramSnapshot out;
   out.count = h.count();
@@ -50,6 +18,43 @@ HistogramSnapshot SnapshotOf(const LatencyHistogram& h) {
 }
 
 }  // namespace
+
+void AppendJsonEscaped(std::string_view in, std::string* out) {
+  for (char c : in) {
+    switch (c) {
+      case '"':
+        *out += "\\\"";
+        break;
+      case '\\':
+        *out += "\\\\";
+        break;
+      case '\n':
+        *out += "\\n";
+        break;
+      case '\t':
+        *out += "\\t";
+        break;
+      case '\r':
+        *out += "\\r";
+        break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
+          *out += buf;
+        } else {
+          *out += c;
+        }
+    }
+  }
+}
+
+std::string JsonEscape(std::string_view in) {
+  std::string out;
+  out.reserve(in.size() + 2);
+  AppendJsonEscaped(in, &out);
+  return out;
+}
 
 std::string RenderMetricKey(const std::string& name, const MetricLabels& labels) {
   if (labels.empty()) {

@@ -29,6 +29,7 @@
 #include <functional>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/obs/histogram.h"
@@ -40,6 +41,12 @@ using MetricLabels = std::map<std::string, std::string>;
 // "name{k1=v1,k2=v2}"; bare "name" when labels are empty. Labels render in
 // sorted key order, so equal label sets always produce equal keys.
 std::string RenderMetricKey(const std::string& name, const MetricLabels& labels);
+
+// JSON string escaping shared by every exporter (metrics, time series,
+// flight records, Chrome traces): quotes, backslashes and control
+// characters; everything else passes through byte for byte.
+void AppendJsonEscaped(std::string_view in, std::string* out);
+std::string JsonEscape(std::string_view in);
 
 struct HistogramSnapshot {
   uint64_t count = 0;

@@ -13,36 +13,6 @@ std::string BaseName(const std::string& key) {
   return brace == std::string::npos ? key : key.substr(0, brace);
 }
 
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 void AppendDouble(std::string* out, double v) {
   char buf[40];
   std::snprintf(buf, sizeof(buf), "%.6g", v);

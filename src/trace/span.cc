@@ -6,40 +6,6 @@
 #include <set>
 
 namespace wvote {
-namespace {
-
-// Minimal JSON string escaping for span names/annotations/host names.
-void AppendJsonEscaped(std::string_view in, std::string* out) {
-  for (char c : in) {
-    switch (c) {
-      case '"':
-        *out += "\\\"";
-        break;
-      case '\\':
-        *out += "\\\\";
-        break;
-      case '\n':
-        *out += "\\n";
-        break;
-      case '\t':
-        *out += "\\t";
-        break;
-      case '\r':
-        *out += "\\r";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          *out += buf;
-        } else {
-          *out += c;
-        }
-    }
-  }
-}
-
-}  // namespace
 
 Tracer::Tracer(Simulator* sim, size_t capacity) : sim_(sim), ring_(capacity) {}
 

@@ -126,6 +126,29 @@ TEST_F(MultiTxnTest, OperationsAfterCommitFail) {
   EXPECT_EQ(r.status().code(), StatusCode::kFailedPrecondition);
 }
 
+TEST_F(MultiTxnTest, WriteOnlyCommitRefreshesStalePrefix) {
+  // Another host moves `accounts` to four representatives with r=2, w=3; the
+  // bank's client still holds the original prefix. A write-only commit must
+  // refresh that prefix and retry the write gather, exactly as a
+  // single-suite commit does, instead of failing FAILED_PRECONDITION.
+  SuiteClient* admin = cluster_->AddClient("admin", accounts_);
+  SuiteConfig moved =
+      SuiteConfig::MakeUniform("accounts", {"rep-0", "rep-1", "rep-2", "rep-3"}, 2, 3);
+  ASSERT_TRUE(cluster_->RunTask(admin->Reconfigure(moved)).ok());
+  ASSERT_EQ(accounts_client_->config().write_quorum, 2);  // still stale
+
+  for (int i = 0; i < 2; ++i) {
+    MultiSuiteTransaction txn(coordinator());
+    ASSERT_TRUE(txn.Write(accounts_client_, "balance=" + std::to_string(i)).ok());
+    ASSERT_TRUE(txn.Write(audit_client_, "log: " + std::to_string(i)).ok());
+    Status st = cluster_->RunTask(txn.Commit());
+    ASSERT_TRUE(st.ok()) << "commit " << i << ": " << st.ToString();
+  }
+  EXPECT_EQ(accounts_client_->config().write_quorum, 3);
+  EXPECT_EQ(cluster_->RunTask(admin->ReadOnce()).value(), "balance=1");
+  EXPECT_EQ(cluster_->RunTask(audit_client_->ReadOnce()).value(), "log: 1");
+}
+
 TEST_F(MultiTxnTest, ConcurrentMultiTxnsSerialize) {
   SuiteClient* accounts2 = cluster_->AddClient("bank2", accounts_);
   SuiteClient* audit2 = cluster_->AddClient("bank2", audit_);

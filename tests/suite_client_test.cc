@@ -28,6 +28,16 @@ class SuiteClientTest : public ::testing::Test {
 
   Host* Rep(int i) { return cluster_->net().FindHost("rep-" + std::to_string(i)); }
 
+  // Fixed client<->rep-i links of (i + 1) * step, so every plan prefers
+  // rep-0, then rep-1, ...
+  void RankLinks(int num_reps, Duration step) {
+    const HostId client_host = cluster_->net().FindHost("client")->id();
+    for (int i = 0; i < num_reps; ++i) {
+      cluster_->net().SetSymmetricLink(client_host, Rep(i)->id(),
+                                       LatencyModel::Fixed(step * (i + 1)));
+    }
+  }
+
   std::unique_ptr<Cluster> cluster_;
   SuiteConfig config_;
   SuiteClient* client_ = nullptr;
@@ -484,6 +494,68 @@ TEST_F(SuiteClientTest, PlanCacheBuildsOncePerConfiguration) {
   }
   // Exactly one rebuild under the new configuration, reused by all reads.
   EXPECT_EQ(client_->stats().plan_builds, builds_after_reconfigure + 1);
+}
+
+TEST_F(SuiteClientTest, WinningHedgeBackupIsNotRecountedByWideningRound) {
+  // Five reps, r=3, w=3. v2 lives on rep-0, rep-2 and rep-4 only; rep-1 and
+  // rep-3 still hold v1. With rep-0 and rep-2 down, the reader's first round
+  // probes rep-0 (hedged to rep-3), rep-1 (hedged to rep-4) and rep-2:
+  // rep-3 wins rep-0's hedge, rep-1 answers, rep-2 times out -> 2 votes.
+  // The widening round must skip rep-3's position (its votes are already
+  // counted) and probe rep-4, which holds v2. Re-probing rep-3 would count
+  // its vote twice and "prove" the stale v1 current.
+  SuiteClientOptions copts;
+  copts.hedged_probes = true;
+  Deploy(5, 3, 3, copts);
+  RankLinks(5, Duration::Millis(1));
+  SuiteClient* writer = cluster_->AddClient("writer", config_);
+  Rep(1)->Crash();
+  Rep(3)->Crash();
+  ASSERT_TRUE(cluster_->RunTask(writer->WriteOnce("v2")).ok());
+  cluster_->sim().RunFor(Duration::Seconds(1));  // drain the async phase 2
+  Rep(1)->Restart();
+  Rep(3)->Restart();
+  Rep(0)->Crash();
+  Rep(2)->Crash();
+
+  Result<std::string> read = cluster_->RunTask(client_->ReadOnce());
+  ASSERT_TRUE(read.ok()) << read.status().ToString();
+  EXPECT_EQ(read.value(), "v2");
+  EXPECT_EQ(client_->stats().gather_rounds, 2u);
+  EXPECT_GE(client_->rpc()->stats().hedge_wins, 1u);
+  EXPECT_EQ(client_->ProbeShareOf("rep-3"), 0.0);  // only ever a backup
+  EXPECT_GT(client_->ProbeShareOf("rep-4"), 0.0);
+}
+
+TEST_F(SuiteClientTest, DemotedHostSortsLastButStillVotesWhenNeeded) {
+  SuiteClientOptions copts;
+  copts.circuit_breakers = true;
+  Deploy(3, 2, 2, copts);
+  RankLinks(3, Duration::Millis(1));
+  ASSERT_TRUE(cluster_->RunTask(client_->ReadOnce()).ok());  // plan: rep-0 first
+
+  // rep-0 turns gray: alive and voting, but 40x its provisioned link cost.
+  cluster_->net().SetSymmetricLink(cluster_->net().FindHost("client")->id(), Rep(0)->id(),
+                                   LatencyModel::Fixed(Duration::Millis(40)));
+  for (int i = 0; i < 10 && client_->stats().breaker_demotions == 0; ++i) {
+    ASSERT_TRUE(cluster_->RunTask(client_->ReadOnce()).ok());
+  }
+  ASSERT_GT(client_->stats().breaker_demotions, 0u);
+
+  // Demoted to the back: rep-1 and rep-2 make the read quorum on their own.
+  client_->ResetStats();
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE(cluster_->RunTask(client_->ReadOnce()).ok());
+  }
+  EXPECT_EQ(client_->ProbeShareOf("rep-0"), 0.0);
+  EXPECT_GT(client_->stats().breaker_demotions, 0u);
+
+  // ... but never out: with rep-1 down its votes are needed, and it is probed.
+  Rep(1)->Crash();
+  Result<std::string> read = cluster_->RunTask(client_->ReadOnce());
+  ASSERT_TRUE(read.ok()) << read.status().ToString();
+  EXPECT_EQ(read.value(), "v1-contents");
+  EXPECT_GT(client_->ProbeShareOf("rep-0"), 0.0);
 }
 
 }  // namespace
