@@ -112,20 +112,25 @@ class Cluster {
   }
 
   // Like RunTask but bounded by simulated time; nullopt if the task did not
-  // complete before `limit` elapsed (e.g. blocked by a partition).
+  // complete before `limit` elapsed (e.g. blocked by a partition). Such a
+  // task keeps running, so its result slot is shared on the heap: it must
+  // outlive this call, whose stack frame is gone by the time the task
+  // finishes.
   template <typename T>
   std::optional<T> RunTaskFor(Task<T> task, Duration limit) {
-    std::optional<T> out;
-    Spawn(CaptureInto(std::move(task), &out));
+    auto out = std::make_shared<std::optional<T>>();
+    Spawn(CaptureInto(std::move(task), out));
     const TimePoint deadline = sim_.Now() + limit;
-    while (!out.has_value() && sim_.Now() <= deadline && sim_.StepOne()) {
+    while (!out->has_value() && sim_.Now() <= deadline && sim_.StepOne()) {
     }
-    return out;
+    return std::move(*out);
   }
 
  private:
-  template <typename T>
-  static Task<void> CaptureInto(Task<T> task, std::optional<T>* out) {
+  // `out` is a std::optional<T>* (RunTask, whose frame outlives the task) or
+  // a std::shared_ptr<std::optional<T>> (RunTaskFor).
+  template <typename T, typename Slot>
+  static Task<void> CaptureInto(Task<T> task, Slot out) {
     out->emplace(co_await std::move(task));
   }
 

@@ -199,5 +199,28 @@ TEST_F(SmokeTest, EveryCommittedWriteProducesACompleteSpanTree) {
   }
 }
 
+Task<int> SleepThenReturn(Simulator* sim, Duration delay, int value) {
+  co_await sim->Sleep(delay);
+  co_return value;
+}
+
+TEST(ClusterRunTaskFor, TaskThatOutlivesTheLimitLandsInItsOwnSlot) {
+  Cluster cluster;
+  // An unrelated event at 2s carries the clock past the 1s limit, so the
+  // first call gives up on a task that finishes at 5s...
+  cluster.sim().Schedule(Duration::Seconds(2), [] {});
+  EXPECT_FALSE(cluster.RunTaskFor(SleepThenReturn(&cluster.sim(), Duration::Seconds(5), 1),
+                                  Duration::Seconds(1))
+                   .has_value());
+  // ... and that task's late result must not complete the next call, which
+  // the stale result would if it were written into the first call's (by
+  // then reused) stack slot.
+  std::optional<int> next = cluster.RunTaskFor(
+      SleepThenReturn(&cluster.sim(), Duration::Seconds(10), 2), Duration::Seconds(20));
+  ASSERT_TRUE(next.has_value());
+  EXPECT_EQ(*next, 2);
+  EXPECT_GE(cluster.sim().Now().ToMicros(), Duration::Seconds(12).ToMicros());
+}
+
 }  // namespace
 }  // namespace wvote
