@@ -44,8 +44,8 @@ void Nemesis::Apply(const FaultEvent& ev) {
       // itself records kHostCrashed, which re-enters the observer list).
       auto fired = std::make_shared<bool>(false);
       Simulator* sim = &cluster_->sim();
-      cluster_->trace().AddObserver([this, sim, host, fired, kind = ev.trace_kind,
-                                     downtime = ev.duration](const TraceEvent& rec) {
+      cluster_->tracer().AddObserver([this, sim, host, fired, kind = ev.trace_kind,
+                                      downtime = ev.duration](const TraceEvent& rec) {
         if (*fired || rec.kind != kind || rec.host != host->id()) {
           return;
         }

@@ -4,7 +4,7 @@
 // simulator at its offset; application is pure mechanism — all randomness
 // was spent when the schedule was built, so the same schedule against the
 // same cluster seed replays the same run. Phase-targeted events arm
-// one-shot observers on the cluster's TraceLog; timed events crash,
+// one-shot observers on the cluster tracer's breadcrumbs; timed events crash,
 // restart, partition, heal, and turn network/storage fault knobs. This is
 // the only code that crashes hosts: exponential churn, chaos templates and
 // phase-targeted crashes are all schedules.

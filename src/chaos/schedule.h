@@ -11,7 +11,7 @@
 //
 // Events cover every fault the simulator can express:
 //   * crash/restart cycles on a named host (kCrashRestart);
-//   * phase-targeted one-shot crashes keyed off TraceLog breadcrumbs
+//   * phase-targeted one-shot crashes keyed off tracer breadcrumbs
 //     (kCrashOnTrace — crash-on-prepare, crash-after-decision-before-
 //     phase-2, ...);
 //   * partitions into named groups, with heal (kPartition / kHeal);
@@ -37,7 +37,7 @@
 
 #include "src/common/status.h"
 #include "src/common/time.h"
-#include "src/trace/trace.h"
+#include "src/trace/span.h"
 
 namespace wvote {
 

@@ -8,9 +8,8 @@
 namespace wvote {
 
 Cluster::Cluster(ClusterOptions options)
-    : options_(options), sim_(options.seed), trace_(&sim_), tracer_(&sim_), net_(&sim_) {
+    : options_(options), sim_(options.seed), tracer_(&sim_), net_(&sim_) {
   net_.SetDefaultLink(options_.default_link);
-  net_.SetTraceLog(&trace_);
   // Before any host is added: every component picks the tracer up from the
   // network at construction time.
   net_.SetTracer(&tracer_);
@@ -39,8 +38,8 @@ void Cluster::EnableScraping(Duration resolution) {
     char buf[96];
     std::snprintf(buf, sizeof(buf), "%s value=%.4g limit=%.4g", ev.rule.c_str(), ev.value,
                   ev.limit);
-    trace_.Record(kInvalidHost, ev.breach ? TraceKind::kSloBreach : TraceKind::kSloRecovered,
-                  buf);
+    tracer_.Record(kInvalidHost, ev.breach ? TraceKind::kSloBreach : TraceKind::kSloRecovered,
+                   buf);
   });
   scraper_->AddObserver(
       [this](TimePoint now, const TimeSeriesStore& store) { slo_->Evaluate(now, store); });
@@ -53,20 +52,8 @@ std::string Cluster::DumpFlightRecord(size_t windows, size_t trace_lines) const 
   if (scraper_ == nullptr) {
     return "";
   }
-  std::vector<std::string> tail;
-  const std::string dump = trace_.Dump(trace_lines);
-  size_t start = 0;
-  while (start < dump.size()) {
-    size_t end = dump.find('\n', start);
-    if (end == std::string::npos) {
-      end = dump.size();
-    }
-    if (end > start) {
-      tail.push_back(dump.substr(start, end - start));
-    }
-    start = end + 1;
-  }
-  return wvote::DumpFlightRecord(scraper_->store(), slo_.get(), tail, windows);
+  return wvote::DumpFlightRecord(scraper_->store(), slo_.get(), tracer_.TailLines(trace_lines),
+                                 windows);
 }
 
 RepresentativeServer* Cluster::AddRepresentative(const std::string& host_name) {

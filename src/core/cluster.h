@@ -25,7 +25,6 @@
 #include "src/obs/timeseries.h"
 #include "src/sim/simulator.h"
 #include "src/trace/span.h"
-#include "src/trace/trace.h"
 
 namespace wvote {
 
@@ -44,7 +43,7 @@ struct ClusterOptions {
   Duration scrape_resolution = Duration::Zero();
   // With scraping on, SloEngine::DefaultRules() are evaluated on every
   // sealed window and kSloBreach / kSloRecovered transitions are recorded
-  // into the trace log.
+  // as breadcrumbs.
   size_t scrape_window_capacity = 512;
 };
 
@@ -54,11 +53,11 @@ class Cluster {
 
   Simulator& sim() { return sim_; }
   Network& net() { return net_; }
-  TraceLog& trace() { return trace_; }
 
-  // The cluster-wide causal tracer. Disabled by default (one branch per
-  // span site); flip with tracer().Enable(true) before the traffic of
-  // interest, then Snapshot()/ExportChromeTrace() afterwards.
+  // The cluster-wide event stream. Breadcrumbs (crashes, prepares, drops,
+  // SLO transitions) are always recorded; spans are off by default (one
+  // branch per span site) — flip with tracer().Enable(true) before the
+  // traffic of interest, then Spans()/ExportChromeTrace() afterwards.
   Tracer& tracer() { return tracer_; }
 
   // The cluster-wide metrics registry. Every component added through this
@@ -79,7 +78,7 @@ class Cluster {
   const SloEngine* slo() const { return slo_.get(); }
 
   // Flight-recorder JSON: the last `windows` time-series windows, every SLO
-  // transition, and the trace log tail. Empty string when scraping is off.
+  // transition, and the breadcrumb tail. Empty string when scraping is off.
   std::string DumpFlightRecord(size_t windows = 64, size_t trace_lines = 40) const;
 
   // Adds a file-server host running a RepresentativeServer.
@@ -153,7 +152,6 @@ class Cluster {
   // taken while the cluster — and thus every source — is alive).
   MetricsRegistry metrics_;
   Simulator sim_;
-  TraceLog trace_;
   // Declared before net_: the network (and every component reached through
   // it) holds a raw pointer to the tracer.
   Tracer tracer_;

@@ -204,9 +204,9 @@ void RepresentativeServer::RegisterHandlers() {
         }
         if (resp.installed) {
           ++stats_.refreshes_installed;
-          if (TraceLog* trace = net_->trace()) {
-            trace->Record(rpc_.host_id(), TraceKind::kRefreshInstalled,
-                          req.suite + " v" + std::to_string(req.version));
+          if (Tracer* tracer = net_->tracer()) {
+            tracer->Record(rpc_.host_id(), TraceKind::kRefreshInstalled,
+                           req.suite + " v" + std::to_string(req.version));
           }
         } else {
           ++stats_.refreshes_skipped;

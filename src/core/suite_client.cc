@@ -364,10 +364,8 @@ Status SuiteClient::Verdict(const GatherPlan& plan, const GatherResult& out, int
     // The SLO layer tracks read and write availability separately; the lock
     // mode says which quorum this gather was for.
     ++(plan.exclusive ? stats_.write_unavailable : stats_.read_unavailable);
-    if (TraceLog* trace = net_->trace()) {
-      trace->Record(rpc_->host_id(), TraceKind::kQuorumFailed, config_.suite_name + " " + tally);
-    }
     if (tracer != nullptr) {
+      tracer->Record(rpc_->host_id(), TraceKind::kQuorumFailed, config_.suite_name + " " + tally);
       tracer->EndWith(span, "unavailable " + tally);
     }
     return UnavailableError("gathered " + tally + " votes for " + config_.suite_name);
@@ -1045,8 +1043,8 @@ Task<Status> SuiteClient::TryReconfigure(SuiteConfig new_config, TxnId txn) {
   Status st = co_await coordinator_->CommitTransaction(state->txn, std::move(writes),
                                                        std::move(read_only), state->trace);
   if (st.ok()) {
-    if (TraceLog* trace = net_->trace()) {
-      trace->Record(rpc_->host_id(), TraceKind::kReconfigured, new_config.ToString());
+    if (Tracer* tracer = net_->tracer()) {
+      tracer->Record(rpc_->host_id(), TraceKind::kReconfigured, new_config.ToString());
     }
     config_ = std::move(new_config);
   }

@@ -3,6 +3,7 @@
 #include <utility>
 
 #include "src/common/check.h"
+#include "src/trace/span.h"
 
 namespace wvote {
 
@@ -20,8 +21,8 @@ void Host::Crash() {
   }
   up_ = false;
   ++crash_epoch_;
-  if (trace_ != nullptr) {
-    trace_->Record(id_, TraceKind::kHostCrashed, name_);
+  if (tracer_ != nullptr) {
+    tracer_->Record(id_, TraceKind::kHostCrashed, name_);
   }
   for (const auto& fn : crash_listeners_) {
     fn();
@@ -33,8 +34,8 @@ void Host::Restart() {
     return;
   }
   up_ = true;
-  if (trace_ != nullptr) {
-    trace_->Record(id_, TraceKind::kHostRestarted, name_);
+  if (tracer_ != nullptr) {
+    tracer_->Record(id_, TraceKind::kHostRestarted, name_);
   }
   for (const auto& fn : restart_listeners_) {
     fn();

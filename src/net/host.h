@@ -15,11 +15,11 @@
 
 #include "src/net/message.h"
 #include "src/sim/random.h"
-#include "src/trace/trace.h"
 
 namespace wvote {
 
 class Network;
+class Tracer;
 
 class Host {
  public:
@@ -53,14 +53,14 @@ class Host {
  private:
   friend class Network;
   void Deliver(Message msg);
-  void SetTraceLog(TraceLog* trace) { trace_ = trace; }
+  void SetTracer(Tracer* tracer) { tracer_ = tracer; }
 
   const HostId id_;
   const std::string name_;
   bool up_ = true;
   uint64_t crash_epoch_ = 0;
   Rng rng_;
-  TraceLog* trace_ = nullptr;
+  Tracer* tracer_ = nullptr;
   std::function<void(Message)> handler_;
   std::vector<std::function<void()>> crash_listeners_;
   std::vector<std::function<void()>> restart_listeners_;

@@ -33,16 +33,16 @@ void Network::RegisterMetrics(MetricsRegistry* registry) {
 Host* Network::AddHost(const std::string& name) {
   const HostId id = static_cast<HostId>(hosts_.size());
   hosts_.push_back(std::make_unique<Host>(id, name, sim_->rng().Fork()));
-  hosts_.back()->SetTraceLog(trace_);
+  hosts_.back()->SetTracer(tracer_);
   // First registration wins, matching what a linear scan would find.
   host_index_.emplace(name, id);
   return hosts_.back().get();
 }
 
-void Network::SetTraceLog(TraceLog* trace) {
-  trace_ = trace;
+void Network::SetTracer(Tracer* tracer) {
+  tracer_ = tracer;
   for (auto& host : hosts_) {
-    host->SetTraceLog(trace);
+    host->SetTracer(tracer);
   }
 }
 
@@ -179,16 +179,16 @@ void Network::Send(HostId from, HostId to, std::any payload, size_t approx_bytes
 
   if (!src->up()) {
     ++stats_.dropped_source_down;
-    if (trace_ != nullptr) {
-      trace_->Record(from, TraceKind::kMessageDropped, "source down");
+    if (tracer_ != nullptr) {
+      tracer_->Record(from, TraceKind::kMessageDropped, "source down");
     }
     return;
   }
   if (!Reachable(from, to)) {
     ++stats_.dropped_partition;
-    if (trace_ != nullptr) {
-      trace_->Record(from, TraceKind::kMessageDropped,
-                     "partitioned from " + host(to)->name());
+    if (tracer_ != nullptr) {
+      tracer_->Record(from, TraceKind::kMessageDropped,
+                      "partitioned from " + host(to)->name());
     }
     return;
   }
@@ -196,8 +196,8 @@ void Network::Send(HostId from, HostId to, std::any payload, size_t approx_bytes
   if (link.knobs.loss_probability > 0.0 &&
       sim_->rng().NextBernoulli(link.knobs.loss_probability)) {
     ++stats_.dropped_loss;
-    if (trace_ != nullptr) {
-      trace_->Record(from, TraceKind::kMessageDropped, "loss");
+    if (tracer_ != nullptr) {
+      tracer_->Record(from, TraceKind::kMessageDropped, "loss");
     }
     return;
   }
@@ -288,8 +288,8 @@ void Network::ScheduleDelivery(Host* dst, Message msg, Duration delay) {
       // it would have dropped their individual delivery events.
       if (!dst->up()) {
         ++stats_.dropped_dest_down;
-        if (trace_ != nullptr) {
-          trace_->Record(dst->id(), TraceKind::kMessageDropped, "destination down");
+        if (tracer_ != nullptr) {
+          tracer_->Record(dst->id(), TraceKind::kMessageDropped, "destination down");
         }
         continue;
       }

@@ -29,7 +29,6 @@
 #include "src/sim/latency.h"
 #include "src/sim/simulator.h"
 #include "src/trace/span.h"
-#include "src/trace/trace.h"
 
 namespace wvote {
 
@@ -131,15 +130,11 @@ class Network {
   // Registers this network's counters (unlabeled: one network per sim).
   void RegisterMetrics(MetricsRegistry* registry);
 
-  // Optional protocol tracing; events from hosts and higher layers flow
-  // into the same log. The log must outlive the network.
-  void SetTraceLog(TraceLog* trace);
-  TraceLog* trace() { return trace_; }
-
-  // Optional causal span tracer, shared the same way the TraceLog is: the
-  // RPC layer and storage/txn components reach it through the network they
-  // already hold. Null (the default) keeps every tracing call a no-op.
-  void SetTracer(Tracer* tracer) { tracer_ = tracer; }
+  // Optional event stream (breadcrumbs and spans), handed to every host;
+  // the RPC layer and storage/txn components reach it through the network
+  // they already hold. Null (the default) keeps every tracing call a no-op.
+  // The tracer must outlive the network.
+  void SetTracer(Tracer* tracer);
   Tracer* tracer() { return tracer_; }
 
  private:
@@ -169,7 +164,6 @@ class Network {
   std::map<HostId, double> gray_outbound_;  // absent == 1.0
   std::vector<int> partition_group_;  // empty: fully connected
   uint64_t next_message_id_ = 1;
-  TraceLog* trace_ = nullptr;
   Tracer* tracer_ = nullptr;
   NetworkStats stats_;
 

@@ -8,9 +8,9 @@
 // time-series tail (ring-buffered, so it is always available at constant
 // memory) plus whatever trace tail the caller supplies.
 //
-// obs is a leaf library: it cannot read the TraceLog itself, so callers
-// pass the trace tail as pre-rendered lines (Cluster and the chaos runner
-// own both sides and do the plumbing).
+// obs is a leaf library: it cannot read the tracer's breadcrumbs itself, so
+// callers pass the trace tail as pre-rendered lines (Cluster owns both
+// sides and does the plumbing).
 
 #ifndef WVOTE_SRC_OBS_FLIGHT_RECORDER_H_
 #define WVOTE_SRC_OBS_FLIGHT_RECORDER_H_

@@ -16,7 +16,7 @@
 //
 // The engine is a Scraper observer — wire engine->Evaluate into
 // Scraper::AddObserver — and is itself observable through listeners, which
-// is how breaches become TraceLog breadcrumbs without obs depending on the
+// is how breaches become tracer breadcrumbs without obs depending on the
 // trace library.
 
 #ifndef WVOTE_SRC_OBS_SLO_H_

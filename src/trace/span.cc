@@ -7,7 +7,135 @@
 
 namespace wvote {
 
-Tracer::Tracer(Simulator* sim, size_t capacity) : sim_(sim), ring_(capacity) {}
+const char* TraceKindName(TraceKind kind) {
+  switch (kind) {
+    case TraceKind::kMessageDropped:
+      return "message-dropped";
+    case TraceKind::kHostCrashed:
+      return "host-crashed";
+    case TraceKind::kHostRestarted:
+      return "host-restarted";
+    case TraceKind::kTxnPrepared:
+      return "txn-prepared";
+    case TraceKind::kTxnCommitted:
+      return "txn-committed";
+    case TraceKind::kTxnAborted:
+      return "txn-aborted";
+    case TraceKind::kRecoveryStarted:
+      return "recovery-started";
+    case TraceKind::kInDoubtResolved:
+      return "in-doubt-resolved";
+    case TraceKind::kQuorumFailed:
+      return "quorum-failed";
+    case TraceKind::kRefreshInstalled:
+      return "refresh-installed";
+    case TraceKind::kReconfigured:
+      return "reconfigured";
+    case TraceKind::kPhase2Completed:
+      return "phase2-completed";
+    case TraceKind::kDecisionLogged:
+      return "decision-logged";
+    case TraceKind::kSlowOp:
+      return "slow-op";
+    case TraceKind::kSloBreach:
+      return "slo-breach";
+    case TraceKind::kSloRecovered:
+      return "slo-recovered";
+    case TraceKind::kCustom:
+      return "custom";
+    case TraceKind::kNumKinds:
+      break;
+  }
+  return "?";
+}
+
+Tracer::Tracer(Simulator* sim, size_t span_capacity, size_t breadcrumb_capacity)
+    : sim_(sim), crumbs_(breadcrumb_capacity), ring_(span_capacity) {}
+
+void Tracer::Record(HostId host, TraceKind kind, std::string detail) {
+  static_assert(sizeof(counts_) / sizeof(counts_[0]) == kNumTraceKinds,
+                "counts_ must have one slot per TraceKind enumerator");
+  TraceEvent& slot = crumbs_[next_crumb_];
+  slot.at = sim_->Now();
+  slot.host = host;
+  slot.kind = kind;
+  slot.detail = std::move(detail);
+  next_crumb_ = (next_crumb_ + 1) % crumbs_.size();
+  ++total_recorded_;
+  ++counts_[static_cast<size_t>(kind)];
+  if (!observers_.empty()) {
+    // Notify from a copy: a re-entrant Record from an observer (Crash ->
+    // kHostCrashed) may advance the ring into this slot.
+    const TraceEvent copy = slot;
+    for (const auto& observer : observers_) {
+      observer(copy);
+    }
+  }
+}
+
+void Tracer::AddObserver(std::function<void(const TraceEvent&)> observer) {
+  observers_.push_back(std::move(observer));
+}
+
+std::vector<TraceEvent> Tracer::Snapshot() const {
+  std::vector<TraceEvent> out;
+  const uint64_t kept = std::min<uint64_t>(total_recorded_, crumbs_.size());
+  out.reserve(kept);
+  // Oldest retained entry sits at next_crumb_ once the ring has wrapped.
+  const size_t start = (total_recorded_ >= crumbs_.size()) ? next_crumb_ : 0;
+  for (uint64_t i = 0; i < kept; ++i) {
+    out.push_back(crumbs_[(start + i) % crumbs_.size()]);
+  }
+  return out;
+}
+
+std::vector<TraceEvent> Tracer::ForHost(HostId host) const {
+  std::vector<TraceEvent> out;
+  for (TraceEvent& ev : Snapshot()) {
+    if (ev.host == host) {
+      out.push_back(std::move(ev));
+    }
+  }
+  return out;
+}
+
+std::vector<TraceEvent> Tracer::OfKind(TraceKind kind) const {
+  std::vector<TraceEvent> out;
+  for (TraceEvent& ev : Snapshot()) {
+    if (ev.kind == kind) {
+      out.push_back(std::move(ev));
+    }
+  }
+  return out;
+}
+
+uint64_t Tracer::CountOf(TraceKind kind) const {
+  return counts_[static_cast<size_t>(kind)];
+}
+
+std::vector<std::string> Tracer::TailLines(size_t max_lines) const {
+  std::vector<TraceEvent> events = Snapshot();
+  const size_t begin = events.size() > max_lines ? events.size() - max_lines : 0;
+  std::vector<std::string> out;
+  out.reserve(events.size() - begin);
+  for (size_t i = begin; i < events.size(); ++i) {
+    char line[256];
+    std::snprintf(line, sizeof(line), "%10.3fms host=%-3d %-18s %s",
+                  static_cast<double>(events[i].at.ToMicros()) / 1000.0, events[i].host,
+                  TraceKindName(events[i].kind), events[i].detail.c_str());
+    out.emplace_back(line);
+  }
+  return out;
+}
+
+std::string Tracer::Dump(size_t max_lines) const {
+  std::string out;
+  for (const std::string& line : TailLines(max_lines)) {
+    out += line;
+    out += '\n';
+  }
+  return out;
+}
 
 TraceContext Tracer::StartRoot(HostId host, std::string_view name) {
   if (!enabled_) {
@@ -85,7 +213,7 @@ void Tracer::Complete(Span span) {
       it->second->Record(span.duration());
     }
   }
-  if (slow_log_ != nullptr && span.parent_id == 0 &&
+  if (slow_threshold_ > Duration::Zero() && span.parent_id == 0 &&
       span.duration() >= slow_threshold_) {
     ++slow_ops_;
     char head[128];
@@ -97,7 +225,7 @@ void Tracer::Complete(Span span) {
     const HostId host = span.host;
     ring_[next_slot_] = std::move(span);
     next_slot_ = (next_slot_ + 1) % ring_.size();
-    slow_log_->Record(host, TraceKind::kSlowOp, head + DumpTree(trace_id));
+    Record(host, TraceKind::kSlowOp, head + DumpTree(trace_id));
     return;
   }
   ring_[next_slot_] = std::move(span);
@@ -126,16 +254,11 @@ void Tracer::RegisterMetrics(MetricsRegistry* metrics) {
   metrics->RegisterCounter("trace.tracer.slow_ops", {}, &slow_ops_);
 }
 
-void Tracer::SetSlowOpLog(TraceLog* log, Duration threshold) {
-  slow_log_ = log;
-  slow_threshold_ = threshold;
-}
-
 void Tracer::SetHostNamer(std::function<std::string(HostId)> namer) {
   host_namer_ = std::move(namer);
 }
 
-std::vector<Span> Tracer::Snapshot() const {
+std::vector<Span> Tracer::Spans() const {
   std::vector<Span> out;
   const uint64_t kept = std::min<uint64_t>(spans_completed_, ring_.size());
   out.reserve(kept + open_.size());
@@ -163,7 +286,7 @@ std::vector<Span> Tracer::Snapshot() const {
 
 std::vector<Span> Tracer::SpansOf(uint64_t trace_id) const {
   std::vector<Span> out;
-  for (Span& span : Snapshot()) {
+  for (Span& span : Spans()) {
     if (span.trace_id == trace_id) {
       out.push_back(std::move(span));
     }
@@ -263,7 +386,7 @@ int Tracer::AppendChromeEvents(std::string* out, bool* first, int pid_base,
                                std::string_view tag) const {
   int max_pid = pid_base;
   std::set<HostId> hosts;
-  std::vector<Span> spans = Snapshot();
+  std::vector<Span> spans = Spans();
   for (const Span& span : spans) {
     hosts.insert(span.host);
   }
@@ -303,6 +426,12 @@ std::string Tracer::ExportChromeTrace(int pid_base) const {
 }
 
 void Tracer::Clear() {
+  for (TraceEvent& ev : crumbs_) {
+    ev = TraceEvent{};
+  }
+  next_crumb_ = 0;
+  total_recorded_ = 0;
+  std::fill(std::begin(counts_), std::end(counts_), 0);
   for (Span& span : ring_) {
     span = Span();
   }

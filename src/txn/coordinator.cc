@@ -157,8 +157,8 @@ Task<Status> Coordinator::CommitTransaction(TxnId txn,
   // The commit is now decided and durable but no participant knows yet —
   // the exact window phase-targeted chaos schedules crash into (the ack
   // must stand and convergence must come from inquiries alone).
-  if (TraceLog* trace = rpc_->network()->trace()) {
-    trace->Record(rpc_->host_id(), TraceKind::kDecisionLogged, txn.ToString());
+  if (tracer != nullptr) {
+    tracer->Record(rpc_->host_id(), TraceKind::kDecisionLogged, txn.ToString());
   }
 
   if (options_.sync_phase2) {
@@ -212,8 +212,8 @@ Task<void> Coordinator::RunPhase2InBackground(TxnId txn, std::vector<HostId> wri
     ++stats_.async_phase2_completed;
     // Completion event with the owning txn id: the write's observability
     // does not end at the client ack — tests assert causality on this.
-    if (TraceLog* trace = rpc_->network()->trace()) {
-      trace->Record(rpc_->host_id(), TraceKind::kPhase2Completed, txn.ToString() + " fanout");
+    if (tracer != nullptr) {
+      tracer->Record(rpc_->host_id(), TraceKind::kPhase2Completed, txn.ToString() + " fanout");
     }
   }
   if (tracer != nullptr) {
@@ -283,11 +283,9 @@ Task<void> Coordinator::RetryCommitForever(TxnId txn, HostId participant, TraceC
     if (ack.ok()) {
       // Same causality breadcrumb as the fan-out: the retrier finishing IS
       // this transaction's convergence at `participant`.
-      if (TraceLog* trace = rpc_->network()->trace()) {
-        trace->Record(rpc_->host_id(), TraceKind::kPhase2Completed,
-                      txn.ToString() + " retrier participant=" + std::to_string(participant));
-      }
       if (tracer != nullptr) {
+        tracer->Record(rpc_->host_id(), TraceKind::kPhase2Completed,
+                       txn.ToString() + " retrier participant=" + std::to_string(participant));
         tracer->EndWith(span, "delivered");
       }
       co_return;

@@ -141,8 +141,8 @@ Task<Status> Participant::Prepare(TxnId txn, std::vector<WriteIntent> writes,
   if (options_.indoubt_resolution_timeout > Duration::Zero()) {
     Spawn(ResolveIfStillInDoubt(record));
   }
-  if (TraceLog* trace = rpc_->network()->trace()) {
-    trace->Record(rpc_->host_id(), TraceKind::kTxnPrepared, txn.ToString());
+  if (Tracer* tracer = rpc_->network()->tracer()) {
+    tracer->Record(rpc_->host_id(), TraceKind::kTxnPrepared, txn.ToString());
   }
   co_return Status::Ok();
 }
@@ -182,8 +182,8 @@ Task<Status> Participant::Commit(TxnId txn, TraceContext ctx) {
   ++stats_.commits;
   prepared_.erase(txn);
   locks_.ReleaseAll(txn);
-  if (TraceLog* trace = rpc_->network()->trace()) {
-    trace->Record(rpc_->host_id(), TraceKind::kTxnCommitted, txn.ToString());
+  if (Tracer* tracer = rpc_->network()->tracer()) {
+    tracer->Record(rpc_->host_id(), TraceKind::kTxnCommitted, txn.ToString());
   }
   co_return Status::Ok();
 }
@@ -198,8 +198,8 @@ Task<Status> Participant::Abort(TxnId txn, TraceContext ctx) {
   ++stats_.aborts;
   prepared_.erase(txn);
   locks_.ReleaseAll(txn);
-  if (TraceLog* trace = rpc_->network()->trace()) {
-    trace->Record(rpc_->host_id(), TraceKind::kTxnAborted, txn.ToString());
+  if (Tracer* tracer = rpc_->network()->tracer()) {
+    tracer->Record(rpc_->host_id(), TraceKind::kTxnAborted, txn.ToString());
   }
   co_return Status::Ok();
 }
@@ -222,8 +222,8 @@ Task<Status> Participant::ApplyCommitted(TxnRecord record, TraceContext ctx) {
 
 Task<void> Participant::Recover() {
   ++stats_.recoveries;
-  if (TraceLog* trace = rpc_->network()->trace()) {
-    trace->Record(rpc_->host_id(), TraceKind::kRecoveryStarted, "");
+  if (Tracer* tracer = rpc_->network()->tracer()) {
+    tracer->Record(rpc_->host_id(), TraceKind::kRecoveryStarted, "");
   }
   for (TxnRecord& record : log_.RecoverAll()) {
     if (record.state == TxnRecordState::kCommitted) {
@@ -271,11 +271,11 @@ Task<void> Participant::ResolveInDoubt(TxnRecord record) {
     Result<DecisionResp> resp = co_await rpc_->Call<DecisionInquiryReq, DecisionResp>(
         record.txn.coordinator, DecisionInquiryReq{record.txn}, options_.inquiry_interval);
     if (resp.ok()) {
-      if (TraceLog* trace = rpc_->network()->trace()) {
-        trace->Record(rpc_->host_id(), TraceKind::kInDoubtResolved,
-                      record.txn.ToString() + (resp.value().decision == TxnDecision::kCommitted
-                                                   ? " -> commit"
-                                                   : " -> abort"));
+      if (Tracer* tracer = rpc_->network()->tracer()) {
+        tracer->Record(rpc_->host_id(), TraceKind::kInDoubtResolved,
+                       record.txn.ToString() + (resp.value().decision == TxnDecision::kCommitted
+                                                    ? " -> commit"
+                                                    : " -> abort"));
       }
       if (resp.value().decision == TxnDecision::kCommitted) {
         (void)co_await Commit(record.txn);

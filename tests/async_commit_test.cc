@@ -12,7 +12,7 @@
 
 #include "src/txn/coordinator.h"
 #include "src/txn/participant.h"
-#include "src/trace/trace.h"
+#include "src/trace/span.h"
 
 namespace wvote {
 namespace {
@@ -26,11 +26,12 @@ struct Node {
 
 class AsyncCommitTest : public ::testing::Test {
  protected:
-  AsyncCommitTest() : sim_(1), net_(&sim_), trace_log_(&sim_, 256) {
+  AsyncCommitTest() : sim_(1), tracer_(&sim_, /*span_capacity=*/4, /*breadcrumb_capacity=*/256),
+        net_(&sim_) {
     net_.SetDefaultLink(LatencyModel::Fixed(Duration::Millis(5)));
     // Background phase-2 work records kPhase2Completed breadcrumbs here;
     // the causality tests below assert on them by owning txn id.
-    net_.SetTraceLog(&trace_log_);
+    net_.SetTracer(&tracer_);
     for (int i = 0; i < 3; ++i) {
       auto node = std::make_unique<Node>();
       node->host = net_.AddHost("p" + std::to_string(i));
@@ -94,8 +95,8 @@ class AsyncCommitTest : public ::testing::Test {
   }
 
   Simulator sim_;
+  Tracer tracer_;  // declared first: the network holds a pointer to it
   Network net_;
-  TraceLog trace_log_;
   std::vector<std::unique_ptr<Node>> nodes_;
   Host* client_host_ = nullptr;
   std::unique_ptr<RpcEndpoint> client_rpc_;
@@ -122,7 +123,7 @@ TEST_F(AsyncCommitTest, ClientAckPrecedesPhase2Delivery) {
   EXPECT_EQ(coordinator_->stats().async_phase2_completed, 0u);
   // Causality, not just counters: at ack time the background fan-out has
   // recorded no completion event yet.
-  EXPECT_EQ(trace_log_.CountOf(TraceKind::kPhase2Completed), 0u);
+  EXPECT_EQ(tracer_.CountOf(TraceKind::kPhase2Completed), 0u);
 
   // Draining the background fan-out installs the value everywhere.
   sim_.RunFor(Duration::Seconds(2));
@@ -131,7 +132,7 @@ TEST_F(AsyncCommitTest, ClientAckPrecedesPhase2Delivery) {
   EXPECT_EQ(P(0).locks().num_locked_keys(), 0u);
   // ... and afterwards exactly one completion event names the owning
   // transaction, attributed to the coordinator host.
-  std::vector<TraceEvent> done = trace_log_.OfKind(TraceKind::kPhase2Completed);
+  std::vector<TraceEvent> done = tracer_.OfKind(TraceKind::kPhase2Completed);
   ASSERT_EQ(done.size(), 1u);
   EXPECT_NE(done[0].detail.find(txn.ToString()), std::string::npos) << done[0].detail;
   EXPECT_NE(done[0].detail.find("fanout"), std::string::npos);
@@ -172,10 +173,10 @@ TEST_F(AsyncCommitTest, CoordinatorCrashAfterAckConvergesViaWatchdog) {
   TxnId txn = coordinator_->Begin();
   ASSERT_TRUE(LockAt(0, txn, "x").ok());
 
-  // Shared so the observer, which the fixture's TraceLog keeps after this
+  // Shared so the observer, which the fixture's tracer keeps after this
   // test body returns, never points into a dead frame.
   auto crashes = std::make_shared<int>(0);
-  trace_log_.AddObserver([this, crashes](const TraceEvent& ev) {
+  tracer_.AddObserver([this, crashes](const TraceEvent& ev) {
     if (*crashes > 0 || ev.kind != TraceKind::kDecisionLogged ||
         ev.host != client_host_->id()) {
       return;
@@ -230,7 +231,7 @@ TEST_F(AsyncCommitTest, ParticipantDownDuringPhase2ConvergesOnRestart) {
   // The 2s outage is shorter than the fan-out's bounded retries, so the
   // fan-out itself converged; its completion breadcrumb names the txn.
   bool fanout_done = false;
-  for (const TraceEvent& ev : trace_log_.OfKind(TraceKind::kPhase2Completed)) {
+  for (const TraceEvent& ev : tracer_.OfKind(TraceKind::kPhase2Completed)) {
     fanout_done |= ev.detail.find(txn.ToString()) != std::string::npos &&
                    ev.detail.find("fanout") != std::string::npos;
   }
@@ -255,7 +256,7 @@ TEST_F(AsyncCommitTest, RetrierRecordsCompletionForTheOwningTxn) {
   EXPECT_EQ(CommittedAt(0, "x"), "v");
 
   bool retrier_done = false;
-  for (const TraceEvent& ev : trace_log_.OfKind(TraceKind::kPhase2Completed)) {
+  for (const TraceEvent& ev : tracer_.OfKind(TraceKind::kPhase2Completed)) {
     retrier_done |= ev.detail.find(txn.ToString()) != std::string::npos &&
                     ev.detail.find("retrier participant=" +
                                    std::to_string(Hid(0))) != std::string::npos;

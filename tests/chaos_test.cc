@@ -348,7 +348,7 @@ TEST(ChaosNemesis, CrashOnTraceFiresAtMostOnceUnderReentrantRecord) {
   // Every restart of the victim records the targeted breadcrumb again from
   // inside Record(kHostRestarted), with the host up: only the one-shot
   // guard keeps the Nemesis from crashing it a second time.
-  TraceLog& trace = cluster.trace();
+  Tracer& trace = cluster.tracer();
   trace.AddObserver([&trace, host](const TraceEvent& ev) {
     if (ev.kind == TraceKind::kHostRestarted && ev.host == host->id()) {
       trace.Record(host->id(), TraceKind::kCustom, "again");

@@ -59,6 +59,31 @@ TEST(HistogramTest, ZeroAndHugeSamplesLandInEdgeBuckets) {
   EXPECT_EQ(h.Min(), Duration::Zero());
 }
 
+// Samples past the last decade land in the overflow bucket, whose lower
+// bound is 100 s: percentiles must report that bound, never more than the
+// largest sample actually recorded.
+TEST(HistogramTest, OverflowBucketReportsItsLowerBound) {
+  const Duration kOverflowFloor = Duration::Seconds(100);
+  LatencyHistogram h;
+  h.Record(Duration::Seconds(200));
+  EXPECT_EQ(h.Max(), Duration::Seconds(200));
+  for (double p : {0.0, 50.0, 99.0, 100.0}) {
+    EXPECT_LE(h.Percentile(p).ToMicros(), h.Max().ToMicros()) << "p" << p;
+    EXPECT_GE(h.Percentile(p).ToMicros(), kOverflowFloor.ToMicros()) << "p" << p;
+  }
+
+  uint64_t count = 0;
+  int64_t p50_us = 0;
+  int64_t p99_us = 0;
+  int64_t max_us = 0;
+  h.DeltaStatsSince(LatencyHistogram(), &count, &p50_us, &p99_us, &max_us);
+  EXPECT_EQ(count, 1u);
+  for (int64_t us : {p50_us, p99_us, max_us}) {
+    EXPECT_LE(us, h.Max().ToMicros());
+    EXPECT_GE(us, kOverflowFloor.ToMicros());
+  }
+}
+
 TEST(HistogramTest, MergeCombines) {
   LatencyHistogram a;
   LatencyHistogram b;

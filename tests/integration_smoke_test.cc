@@ -126,7 +126,7 @@ TEST_F(SmokeTest, EveryCommittedWriteProducesACompleteSpanTree) {
   }
   cluster_->sim().RunFor(Duration::Seconds(1));  // drain the async phase 2
 
-  std::vector<Span> spans = cluster_->tracer().Snapshot();
+  std::vector<Span> spans = cluster_->tracer().Spans();
   std::map<uint64_t, const Span*> by_id;
   std::map<uint64_t, std::vector<const Span*>> children;
   std::vector<const Span*> roots;

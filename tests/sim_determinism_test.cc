@@ -55,9 +55,9 @@ void WriteFileOrDie(const std::string& path, const std::string& contents) {
   out << contents;
 }
 
-// Serializes a TraceLog snapshot byte-stably: one event per line, exactly
+// Serializes a breadcrumb snapshot byte-stably: one event per line, exactly
 // the fields that define the protocol-level schedule.
-std::string SerializeTrace(const TraceLog& log) {
+std::string SerializeTrace(const Tracer& log) {
   std::ostringstream out;
   for (const TraceEvent& ev : log.Snapshot()) {
     out << ev.at.ToMicros() << "|" << ev.host << "|" << TraceKindName(ev.kind) << "|"
@@ -66,11 +66,20 @@ std::string SerializeTrace(const TraceLog& log) {
   return out.str();
 }
 
+// What one scenario run left on the tracer.
+struct ScenarioTrace {
+  std::string breadcrumbs;       // SerializeTrace of the ring
+  std::vector<uint64_t> counts;  // CountOf, one per TraceKind
+  uint64_t spans_started = 0;
+};
+
 // One seeded cluster's worth of adversarial traffic: three weighted reps,
 // two clients, lossy/duplicating/spiking links, and a crash-restart in the
 // middle of a mixed read/write stream. Every drop, retry, prepare, commit,
-// and recovery lands in the TraceLog in schedule order.
-std::string RunTracedScenario(uint64_t seed) {
+// and recovery lands in the breadcrumb ring in schedule order. With
+// `toggle_spans`, span tracing is switched on for the middle third of the
+// op stream and off again.
+ScenarioTrace RunTracedScenario(uint64_t seed, bool toggle_spans = false) {
   ClusterOptions opts;
   opts.seed = seed;
   opts.default_link = LatencyModel::Uniform(Duration::Millis(2), Duration::Millis(9));
@@ -104,6 +113,9 @@ std::string RunTracedScenario(uint64_t seed) {
                          [&cluster] { cluster.net().FindHost("pin-b")->Restart(); });
 
   for (int i = 0; i < 24; ++i) {
+    if (toggle_spans && (i == 8 || i == 16)) {
+      cluster.tracer().Enable(i == 8);
+    }
     SuiteClient* client = (i % 2 == 0) ? c1 : c2;
     if (i % 3 == 2) {
       cluster.RunTaskFor(client->WriteOnce("pin-v" + std::to_string(i)),
@@ -113,15 +125,21 @@ std::string RunTracedScenario(uint64_t seed) {
     }
   }
   cluster.sim().RunFor(Duration::Seconds(5));  // drain retriers / phase 2
-  return SerializeTrace(cluster.trace());
+  ScenarioTrace out;
+  out.breadcrumbs = SerializeTrace(cluster.tracer());
+  for (size_t k = 0; k < kNumTraceKinds; ++k) {
+    out.counts.push_back(cluster.tracer().CountOf(static_cast<TraceKind>(k)));
+  }
+  out.spans_started = cluster.tracer().spans_started();
+  return out;
 }
 
 // The schedule of a seeded multi-cluster run — two independent clusters,
 // different seeds, adversarial links — must be byte-identical before and
 // after any simulator-core change.
-TEST(SimDeterminismPin, MultiClusterTraceLogMatchesGolden) {
-  std::string got = "=== cluster seed 9001 ===\n" + RunTracedScenario(9001) +
-                    "=== cluster seed 417 ===\n" + RunTracedScenario(417);
+TEST(SimDeterminismPin, MultiClusterBreadcrumbsMatchGolden) {
+  std::string got = "=== cluster seed 9001 ===\n" + RunTracedScenario(9001).breadcrumbs +
+                    "=== cluster seed 417 ===\n" + RunTracedScenario(417).breadcrumbs;
   // The scenario must actually exercise the interesting machinery, or the
   // pin pins nothing.
   EXPECT_NE(got.find("message-dropped"), std::string::npos);
@@ -136,6 +154,21 @@ TEST(SimDeterminismPin, MultiClusterTraceLogMatchesGolden) {
   const std::string want = ReadFileOrDie(path);
   ASSERT_EQ(want.size(), got.size()) << "trace schedule diverged from pre-rebuild golden";
   EXPECT_EQ(want, got) << "trace schedule diverged from pre-rebuild golden";
+}
+
+// Breadcrumbs share the tracer with spans but never depend on them: turning
+// span tracing on and off mid-run leaves the breadcrumb sequence and the
+// per-kind counts exactly as an untraced run records them.
+TEST(SimDeterminismPin, BreadcrumbsDoNotDependOnSpanTracing) {
+  for (uint64_t seed : {9001, 417}) {
+    const ScenarioTrace plain = RunTracedScenario(seed);
+    const ScenarioTrace toggled = RunTracedScenario(seed, /*toggle_spans=*/true);
+    EXPECT_EQ(plain.spans_started, 0u);
+    EXPECT_GT(toggled.spans_started, 0u) << "the toggle must actually trace spans";
+    EXPECT_FALSE(plain.breadcrumbs.empty());
+    EXPECT_EQ(plain.breadcrumbs, toggled.breadcrumbs) << "seed " << seed;
+    EXPECT_EQ(plain.counts, toggled.counts) << "seed " << seed;
+  }
 }
 
 // A fixed-seed chaos run — schedule expansion, fault application, client

@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "src/core/cluster.h"
-#include "src/trace/trace.h"
 
 namespace wvote {
 namespace {
@@ -26,7 +25,7 @@ TEST(TracerTest, DisabledTracerIsInertAndFree) {
   tracer.Annotate(root, "ignored");
   tracer.End(root);
   EXPECT_EQ(tracer.spans_started(), 0u);
-  EXPECT_TRUE(tracer.Snapshot().empty());
+  EXPECT_TRUE(tracer.Spans().empty());
 }
 
 TEST(TracerTest, RecordsTreeWithSimulatedDurations) {
@@ -43,7 +42,7 @@ TEST(TracerTest, RecordsTreeWithSimulatedDurations) {
   tracer.EndWith(child, "all voted yes");
   tracer.End(root);
 
-  std::vector<Span> spans = tracer.Snapshot();
+  std::vector<Span> spans = tracer.Spans();
   ASSERT_EQ(spans.size(), 2u);
   const Span& prepare = spans[0];  // completed first
   const Span& write = spans[1];
@@ -81,28 +80,27 @@ TEST(TracerTest, CompletedRingIsBounded) {
     tracer.End(tracer.StartRoot(0, "client.read"));
   }
   EXPECT_EQ(tracer.spans_completed(), 10u);
-  EXPECT_EQ(tracer.Snapshot().size(), 4u);  // ring keeps the newest
+  EXPECT_EQ(tracer.Spans().size(), 4u);  // ring keeps the newest
 }
 
-TEST(TracerTest, SlowRootDumpsItsTreeIntoTheTraceLog) {
+TEST(TracerTest, SlowRootDumpsItsTreeAsABreadcrumb) {
   Simulator sim(1);
-  Tracer tracer(&sim);
+  Tracer tracer(&sim, 65536, /*breadcrumb_capacity=*/16);
   tracer.Enable(true);
-  TraceLog log(&sim, 16);
-  tracer.SetSlowOpLog(&log, Duration::Millis(10));
+  tracer.SetSlowOpThreshold(Duration::Millis(10));
 
   // Fast op: below threshold, no slow-op event.
   TraceContext fast = tracer.StartRoot(0, "client.read");
   sim.RunFor(Duration::Millis(1));
   tracer.End(fast);
-  EXPECT_EQ(log.CountOf(TraceKind::kSlowOp), 0u);
+  EXPECT_EQ(tracer.CountOf(TraceKind::kSlowOp), 0u);
 
   TraceContext slow = tracer.StartRoot(0, "client.write");
   TraceContext phase = tracer.StartChild(slow, 1, "phase.prepare");
   sim.RunFor(Duration::Millis(50));
   tracer.End(phase);
   tracer.End(slow);
-  std::vector<TraceEvent> events = log.OfKind(TraceKind::kSlowOp);
+  std::vector<TraceEvent> events = tracer.OfKind(TraceKind::kSlowOp);
   ASSERT_EQ(events.size(), 1u);
   EXPECT_NE(events[0].detail.find("client.write"), std::string::npos);
   EXPECT_NE(events[0].detail.find("phase.prepare"), std::string::npos);
@@ -326,7 +324,7 @@ TEST(TracerIntegrationTest, CrashedParticipantRetryYieldsOneRootWithBothAttempts
   ASSERT_TRUE(st.ok()) << st.ToString();
   cluster.sim().RunFor(Duration::Seconds(2));  // drain background phase 2
 
-  std::vector<Span> spans = cluster.tracer().Snapshot();
+  std::vector<Span> spans = cluster.tracer().Spans();
   std::vector<const Span*> roots;
   std::map<uint64_t, std::vector<const Span*>> children;
   for (const Span& s : spans) {

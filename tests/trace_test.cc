@@ -1,6 +1,6 @@
-// Protocol tracing: ring semantics and end-to-end event capture.
+// Breadcrumbs on the tracer: ring semantics and end-to-end event capture.
 
-#include "src/trace/trace.h"
+#include "src/trace/span.h"
 
 #include <gtest/gtest.h>
 
@@ -9,9 +9,12 @@
 namespace wvote {
 namespace {
 
-TEST(TraceLogTest, RecordsInOrder) {
+// Breadcrumb tests never enable spans; keep the span ring small.
+constexpr size_t kSpanCapacity = 4;
+
+TEST(BreadcrumbTest, RecordsInOrder) {
   Simulator sim(1);
-  TraceLog trace(&sim, 16);
+  Tracer trace(&sim, kSpanCapacity, /*breadcrumb_capacity=*/16);
   trace.Record(1, TraceKind::kCustom, "first");
   sim.RunFor(Duration::Millis(5));
   trace.Record(2, TraceKind::kCustom, "second");
@@ -22,9 +25,9 @@ TEST(TraceLogTest, RecordsInOrder) {
   EXPECT_LT(events[0].at, events[1].at);
 }
 
-TEST(TraceLogTest, RingKeepsNewest) {
+TEST(BreadcrumbTest, RingKeepsNewest) {
   Simulator sim(1);
-  TraceLog trace(&sim, 4);
+  Tracer trace(&sim, kSpanCapacity, /*breadcrumb_capacity=*/4);
   for (int i = 0; i < 10; ++i) {
     trace.Record(0, TraceKind::kCustom, std::to_string(i));
   }
@@ -35,18 +38,18 @@ TEST(TraceLogTest, RingKeepsNewest) {
   EXPECT_EQ(trace.total_recorded(), 10u);
 }
 
-TEST(TraceLogTest, CountsPerKindSurviveRingEviction) {
+TEST(BreadcrumbTest, CountsPerKindSurviveRingEviction) {
   Simulator sim(1);
-  TraceLog trace(&sim, 2);
+  Tracer trace(&sim, kSpanCapacity, /*breadcrumb_capacity=*/2);
   for (int i = 0; i < 7; ++i) {
     trace.Record(0, TraceKind::kHostCrashed, "");
   }
   EXPECT_EQ(trace.CountOf(TraceKind::kHostCrashed), 7u);
 }
 
-TEST(TraceLogTest, FiltersByHostAndKind) {
+TEST(BreadcrumbTest, FiltersByHostAndKind) {
   Simulator sim(1);
-  TraceLog trace(&sim, 16);
+  Tracer trace(&sim, kSpanCapacity, /*breadcrumb_capacity=*/16);
   trace.Record(1, TraceKind::kHostCrashed, "a");
   trace.Record(2, TraceKind::kHostCrashed, "b");
   trace.Record(1, TraceKind::kHostRestarted, "a");
@@ -54,9 +57,9 @@ TEST(TraceLogTest, FiltersByHostAndKind) {
   EXPECT_EQ(trace.OfKind(TraceKind::kHostCrashed).size(), 2u);
 }
 
-TEST(TraceLogTest, ClearResets) {
+TEST(BreadcrumbTest, ClearResets) {
   Simulator sim(1);
-  TraceLog trace(&sim, 4);
+  Tracer trace(&sim, kSpanCapacity, /*breadcrumb_capacity=*/4);
   trace.Record(0, TraceKind::kCustom, "x");
   trace.Clear();
   EXPECT_TRUE(trace.Snapshot().empty());
@@ -64,18 +67,35 @@ TEST(TraceLogTest, ClearResets) {
   EXPECT_EQ(trace.CountOf(TraceKind::kCustom), 0u);
 }
 
-TEST(TraceLogTest, DumpMentionsKindNames) {
+TEST(BreadcrumbTest, DumpMentionsKindNames) {
   Simulator sim(1);
-  TraceLog trace(&sim, 4);
+  Tracer trace(&sim, kSpanCapacity, /*breadcrumb_capacity=*/4);
   trace.Record(3, TraceKind::kTxnCommitted, "txn(1.1@0)");
   const std::string dump = trace.Dump();
   EXPECT_NE(dump.find("txn-committed"), std::string::npos);
   EXPECT_NE(dump.find("txn(1.1@0)"), std::string::npos);
 }
 
-TEST(TraceLogTest, ObserversRunSynchronouslyAndMayReenter) {
+// The flight recorder embeds these lines verbatim, so their format is part
+// of every chaos artifact: Dump is TailLines, newline-terminated.
+TEST(BreadcrumbTest, TailLinesAreDumpLinesWithoutNewlines) {
   Simulator sim(1);
-  TraceLog trace(&sim, 16);
+  Tracer trace(&sim, kSpanCapacity, /*breadcrumb_capacity=*/4);
+  for (int i = 0; i < 6; ++i) {
+    sim.RunFor(Duration::Micros(1500));
+    trace.Record(i, TraceKind::kTxnCommitted, "txn(" + std::to_string(i) + ")");
+  }
+  const std::vector<std::string> tail = trace.TailLines(2);
+  ASSERT_EQ(tail.size(), 2u);
+  EXPECT_EQ(tail[0], "     7.500ms host=4   txn-committed      txn(4)");
+  EXPECT_EQ(tail[1], "     9.000ms host=5   txn-committed      txn(5)");
+  EXPECT_EQ(trace.Dump(2), tail[0] + "\n" + tail[1] + "\n");
+  EXPECT_EQ(trace.TailLines().size(), 4u);  // only what the ring retains
+}
+
+TEST(BreadcrumbTest, ObserversRunSynchronouslyAndMayReenter) {
+  Simulator sim(1);
+  Tracer trace(&sim, kSpanCapacity, /*breadcrumb_capacity=*/16);
   std::vector<std::string> seen;
   trace.AddObserver([&](const TraceEvent& ev) {
     seen.push_back(ev.detail);
@@ -103,15 +123,15 @@ TEST(TraceIntegrationTest, ClusterCapturesProtocolEvents) {
   ASSERT_TRUE(cluster.RunTask(client->WriteOnce("y")).ok());
   cluster.sim().RunFor(Duration::Seconds(1));  // drain the async phase 2
   // The write prepared and committed at two representatives.
-  EXPECT_EQ(cluster.trace().CountOf(TraceKind::kTxnPrepared), 2u);
-  EXPECT_EQ(cluster.trace().CountOf(TraceKind::kTxnCommitted), 2u);
+  EXPECT_EQ(cluster.tracer().CountOf(TraceKind::kTxnPrepared), 2u);
+  EXPECT_EQ(cluster.tracer().CountOf(TraceKind::kTxnCommitted), 2u);
 
   // Crash/restart shows up attributed to the right host.
   Host* rep2 = cluster.net().FindHost("rep-2");
   rep2->Crash();
   rep2->Restart();
-  EXPECT_EQ(cluster.trace().CountOf(TraceKind::kHostCrashed), 1u);
-  EXPECT_EQ(cluster.trace().ForHost(rep2->id()).size(), 3u);  // crash+restart+recovery
+  EXPECT_EQ(cluster.tracer().CountOf(TraceKind::kHostCrashed), 1u);
+  EXPECT_EQ(cluster.tracer().ForHost(rep2->id()).size(), 3u);  // crash+restart+recovery
 
   // A failed quorum is recorded.
   cluster.net().FindHost("rep-0")->Crash();
@@ -120,8 +140,8 @@ TEST(TraceIntegrationTest, ClusterCapturesProtocolEvents) {
   fast.probe_timeout = Duration::Millis(100);
   SuiteClient* impatient = cluster.AddClient("impatient", config, fast);
   (void)cluster.RunTask(impatient->ReadOnce(/*retries=*/1));
-  EXPECT_GE(cluster.trace().CountOf(TraceKind::kQuorumFailed), 1u);
-  EXPECT_GE(cluster.trace().CountOf(TraceKind::kMessageDropped), 1u);
+  EXPECT_GE(cluster.tracer().CountOf(TraceKind::kQuorumFailed), 1u);
+  EXPECT_GE(cluster.tracer().CountOf(TraceKind::kMessageDropped), 1u);
 }
 
 TEST(TraceIntegrationTest, ReconfigurationIsTraced) {
@@ -136,7 +156,7 @@ TEST(TraceIntegrationTest, ReconfigurationIsTraced) {
                   .RunTask(admin->Reconfigure(
                       SuiteConfig::MakeUniform("t", {"rep-0", "rep-1", "rep-2"}, 1, 3)))
                   .ok());
-  EXPECT_EQ(cluster.trace().CountOf(TraceKind::kReconfigured), 1u);
+  EXPECT_EQ(cluster.tracer().CountOf(TraceKind::kReconfigured), 1u);
 }
 
 }  // namespace
