@@ -107,7 +107,7 @@ SuiteClient* Cluster::AddClient(const std::string& host_name, const SuiteConfig&
     stack.cache->RegisterMetrics(&metrics_);
   }
   auto client = std::make_unique<SuiteClient>(&net_, stack.rpc.get(), stack.coordinator.get(),
-                                              config, client_options);
+                                              &strategy_memo_, config, client_options);
   client->SetHealth(stack.health.get());
   client->RegisterMetrics(&metrics_);
   if (with_cache) {

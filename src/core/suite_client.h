@@ -160,10 +160,11 @@ class SuiteTransaction {
 
 class SuiteClient {
  public:
-  // `rpc` and `coordinator` live on the client's host. `config` is the
-  // client's (possibly stale) view of the suite prefix.
-  SuiteClient(Network* net, RpcEndpoint* rpc, Coordinator* coordinator, SuiteConfig config,
-              SuiteClientOptions options = {});
+  // `rpc` and `coordinator` live on the client's host. `memo` (required)
+  // is the cluster's shared strategy memo and must outlive the client.
+  // `config` is the client's (possibly stale) view of the suite prefix.
+  SuiteClient(Network* net, RpcEndpoint* rpc, Coordinator* coordinator, StrategyMemo* memo,
+              SuiteConfig config, SuiteClientOptions options = {});
 
   // Attaches a weak representative (cache) on this client's host.
   void AttachCache(WeakRepresentative* cache) { cache_ = cache; }
@@ -363,7 +364,8 @@ class SuiteClient {
   HealthTracker* health_ = nullptr;
   SuiteClientStats stats_;
   // Quorum strategies memoized per (config_version, tuning, policy);
-  // counts builds into stats_.plan_builds.
+  // counts builds into stats_.plan_builds. Distributions come from the
+  // cluster's StrategyMemo.
   PlanCache plan_cache_;
   // Shared host-id / link-latency lookup for probe resolution, plan
   // building, and strategy solving (one memo instead of three).
