@@ -6,7 +6,9 @@
 
 #include <gtest/gtest.h>
 
-#include "src/analysis/baseline_model.h"
+#include <algorithm>
+#include <vector>
+
 #include "src/analysis/gifford_examples.h"
 
 namespace wvote {
@@ -21,6 +23,85 @@ SuiteModel Uniform(int n, double p, int r, int w) {
   m.read_quorum = r;
   m.write_quorum = w;
   return m;
+}
+
+// Closed forms for the schemes Gifford positions voting against, as
+// independent oracles. Read-one/write-all: a read needs any replica up, a
+// write needs all of them; reads wait for the nearest, writes for the
+// farthest.
+double RowaReadAvailability(const SuiteModel& model) {
+  double all_down = 1.0;
+  for (const RepModel& rep : model.reps) {
+    all_down *= 1.0 - rep.availability;
+  }
+  return 1.0 - all_down;
+}
+
+double RowaWriteAvailability(const SuiteModel& model) {
+  double all_up = 1.0;
+  for (const RepModel& rep : model.reps) {
+    all_up *= rep.availability;
+  }
+  return all_up;
+}
+
+Duration RowaReadLatencyAllUp(const SuiteModel& model) {
+  Duration best = model.reps.front().latency;
+  for (const RepModel& rep : model.reps) {
+    best = std::min(best, rep.latency);
+  }
+  return best;
+}
+
+Duration RowaWriteLatencyAllUp(const SuiteModel& model) {
+  Duration worst = Duration::Zero();
+  for (const RepModel& rep : model.reps) {
+    worst = std::max(worst, rep.latency);
+  }
+  return worst;
+}
+
+// Equal-vote majority: the probability that more than half the replicas
+// are up, summed over every up-subset.
+double MajorityAvailability(const SuiteModel& model) {
+  const size_t n = model.reps.size();
+  const int majority = static_cast<int>(n / 2) + 1;
+  double available = 0.0;
+  for (uint32_t mask = 0; mask < (1u << n); ++mask) {
+    int up = 0;
+    double prob = 1.0;
+    for (size_t i = 0; i < n; ++i) {
+      if (mask & (1u << i)) {
+        ++up;
+        prob *= model.reps[i].availability;
+      } else {
+        prob *= 1.0 - model.reps[i].availability;
+      }
+    }
+    if (up >= majority) {
+      available += prob;
+    }
+  }
+  return available;
+}
+
+// The cheapest majority waits for its slowest member.
+Duration MajorityLatencyAllUp(const SuiteModel& model) {
+  std::vector<Duration> latencies;
+  for (const RepModel& rep : model.reps) {
+    latencies.push_back(rep.latency);
+  }
+  std::sort(latencies.begin(), latencies.end());
+  return latencies[model.reps.size() / 2];
+}
+
+// Primary copy: everything rides on one designated replica.
+double PrimaryCopyAvailability(const SuiteModel& model, size_t primary) {
+  return model.reps.at(primary).availability;
+}
+
+Duration PrimaryCopyLatency(const SuiteModel& model, size_t primary) {
+  return model.reps.at(primary).latency;
 }
 
 TEST(VotingAnalysisTest, SingleRepAvailabilityIsP) {
@@ -70,17 +151,17 @@ TEST(VotingAnalysisTest, WeightedVotesShiftAvailability) {
 TEST(VotingAnalysisTest, MatchesRowaClosedForms) {
   SuiteModel m = Uniform(5, 0.8, 1, 5);
   VotingAnalysis a(m);
-  EXPECT_NEAR(a.ReadAvailability(), BaselineAnalysis::RowaReadAvailability(m), 1e-12);
-  EXPECT_NEAR(a.WriteAvailability(), BaselineAnalysis::RowaWriteAvailability(m), 1e-12);
-  EXPECT_EQ(a.AllUpQuorumLatency(1), BaselineAnalysis::RowaReadLatencyAllUp(m));
-  EXPECT_EQ(a.AllUpQuorumLatency(5), BaselineAnalysis::RowaWriteLatencyAllUp(m));
+  EXPECT_NEAR(a.ReadAvailability(), RowaReadAvailability(m), 1e-12);
+  EXPECT_NEAR(a.WriteAvailability(), RowaWriteAvailability(m), 1e-12);
+  EXPECT_EQ(a.AllUpQuorumLatency(1), RowaReadLatencyAllUp(m));
+  EXPECT_EQ(a.AllUpQuorumLatency(5), RowaWriteLatencyAllUp(m));
 }
 
 TEST(VotingAnalysisTest, MatchesMajorityClosedForms) {
   SuiteModel m = Uniform(5, 0.8, 3, 3);
   VotingAnalysis a(m);
-  EXPECT_NEAR(a.ReadAvailability(), BaselineAnalysis::MajorityAvailability(m), 1e-12);
-  EXPECT_EQ(a.AllUpQuorumLatency(3), BaselineAnalysis::MajorityLatencyAllUp(m));
+  EXPECT_NEAR(a.ReadAvailability(), MajorityAvailability(m), 1e-12);
+  EXPECT_EQ(a.AllUpQuorumLatency(3), MajorityLatencyAllUp(m));
 }
 
 TEST(VotingAnalysisTest, AvailabilityMonotoneInQuorumSize) {
@@ -133,8 +214,18 @@ TEST(VotingAnalysisTest, ReadAndWriteLatencyPhases) {
 
 TEST(VotingAnalysisTest, PrimaryCopyOracle) {
   SuiteModel m = Uniform(3, 0.95, 2, 2);
-  EXPECT_DOUBLE_EQ(BaselineAnalysis::PrimaryCopyAvailability(m, 1), 0.95);
-  EXPECT_EQ(BaselineAnalysis::PrimaryCopyLatency(m, 1), Duration::Millis(20));
+  EXPECT_DOUBLE_EQ(PrimaryCopyAvailability(m, 1), 0.95);
+  EXPECT_EQ(PrimaryCopyLatency(m, 1), Duration::Millis(20));
+  // Primary copy is the degenerate assignment with every vote on the
+  // primary.
+  for (size_t i = 0; i < m.reps.size(); ++i) {
+    m.reps[i].votes = i == 1 ? 1 : 0;
+  }
+  m.read_quorum = 1;
+  m.write_quorum = 1;
+  VotingAnalysis a(m);
+  EXPECT_NEAR(a.ReadAvailability(), PrimaryCopyAvailability(m, 1), 1e-12);
+  EXPECT_EQ(a.AllUpQuorumLatency(1), PrimaryCopyLatency(m, 1));
 }
 
 TEST(SuiteModelTest, ValidationMirrorsSuiteConfig) {
