@@ -109,6 +109,32 @@ TEST(SimulatorTest, RunForIsRelative) {
   EXPECT_EQ(sim.Now(), TimePoint() + Duration::Millis(20));
 }
 
+TEST(SimulatorTest, RunUntilDoneStopsAtTheEventThatMakesItTrue) {
+  Simulator sim(1);
+  int fired = 0;
+  sim.Schedule(Duration::Millis(10), [&] { ++fired; });
+  sim.Schedule(Duration::Millis(20), [&] { ++fired; });
+  sim.Schedule(Duration::Millis(30), [&] { ++fired; });
+  EXPECT_TRUE(sim.RunUntil(TimePoint() + Duration::Millis(100), [&] { return fired == 2; }));
+  EXPECT_EQ(sim.Now(), TimePoint() + Duration::Millis(20));
+  EXPECT_EQ(sim.events_pending(), 1u);
+}
+
+TEST(SimulatorTest, RunUntilDoneThatGivesUpEndsAtTheLimit) {
+  // Giving up at 4.999s cascades the wheel toward the 5s event's slot; the
+  // clock must follow to the limit, or a later insert between the old clock
+  // and that slot would be filed behind the 5s event.
+  Simulator sim(1);
+  std::vector<int64_t> fired_at;
+  auto record = [&] { fired_at.push_back(sim.Now().ToMicros()); };
+  sim.Schedule(Duration::Seconds(5), record);
+  EXPECT_FALSE(sim.RunUntil(TimePoint::FromMicros(4'999'000), [] { return false; }));
+  EXPECT_EQ(sim.Now().ToMicros(), 4'999'000);
+  sim.Schedule(Duration::Micros(500), record);
+  sim.Run();
+  EXPECT_EQ(fired_at, (std::vector<int64_t>{4'999'500, 5'000'000}));
+}
+
 TEST(SimulatorTest, StepOneProcessesExactlyOne) {
   Simulator sim(1);
   int fired = 0;
